@@ -9,6 +9,7 @@ stderr line ``ERROR <code>: <message>``) or a failed verification batch,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -72,7 +73,10 @@ def _write_text(path: str | None, text: str):
             fh.write(text)
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process; parsing leaves the parser unchanged and
+    # argparse looks up sys.stdout/sys.stderr only when it prints
     ap = argparse.ArgumentParser(prog="hvconic", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
 

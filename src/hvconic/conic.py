@@ -65,14 +65,19 @@ class XRayProfile:
         vals = np.asarray(values, dtype=float).copy()
         if bp.ndim != 1 or vals.ndim != 1 or len(bp) != len(vals) + 1 or len(vals) < 1:
             raise InvalidParameter("need r+1 breakpoints for r plateau values")
-        if not np.all(np.diff(bp) > 0):
+        if not (np.isfinite(bp).all() and np.isfinite(vals).all()):
+            raise InvalidParameter("breakpoints and plateau values must be finite")
+        if not np.all(bp[1:] > bp[:-1]):
             raise InvalidParameter("breakpoints must be strictly increasing")
         if not np.all(vals >= 0):
             raise InvalidParameter("plateau values must be non-negative")
-        widths = np.diff(bp)
-        mids = 0.5 * (bp[:-1] + bp[1:])
-        mass = np.concatenate([[0.0], np.cumsum(vals * widths)])
-        moment = np.concatenate([[0.0], np.cumsum(vals * widths * mids)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            widths = np.diff(bp)
+            mids = 0.5 * (bp[:-1] + bp[1:])
+            mass = np.concatenate([[0.0], np.cumsum(vals * widths)])
+            moment = np.concatenate([[0.0], np.cumsum(vals * widths * mids)])
+        if not (np.isfinite(mass[-1]) and np.isfinite(moment).all()):
+            raise InvalidParameter("profile mass or first moment overflows")
         for arr in (bp, vals, mass, moment):
             arr.setflags(write=False)
         object.__setattr__(self, "axis", axis)

@@ -16,6 +16,7 @@ Conventions used throughout:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -58,7 +59,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Box:
-    """Closed axis-aligned rectangle ``[a, b] x [c, d]`` with positive sides."""
+    """Closed axis-aligned rectangle ``[a, b] x [c, d]`` with finite, positive sides."""
 
     a: float
     b: float
@@ -66,6 +67,8 @@ class Box:
     d: float
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in self.as_tuple()):
+            raise InvalidParameter(f"box sides must be finite, got {self.as_tuple()}")
         if not (self.a < self.b and self.c < self.d):
             raise InvalidParameter(f"degenerate box {self.as_tuple()}")
 
@@ -650,10 +653,10 @@ def _sample_with_rng(geometry: GridGeometry, rng, require_full_box: bool) -> Gri
 
 
 # ---------------------------------------------------------------------------
-# exhaustive enumeration (bit-level for speed)
+# bitmask predicates (the annealer's single-cell toggles)
 #
-# Cell (i, j) maps to bit i * n + j.  Masks are enumerated in ascending
-# integer order, which is a fixed total order on cell indicators.
+# Cell (i, j) maps to bit i * n + j.  The same bit key, read as an integer,
+# fixes the order of the enumerated families below.
 
 
 def _col_bits(mask: int, i: int, n: int) -> int:
@@ -729,16 +732,6 @@ def _mask_connected(mask: int, m: int, n: int) -> bool:
         reach = grown
 
 
-def _feasible_masks(m: int, n: int, require_full_box: bool):
-    for mask in range(1, 1 << (m * n)):
-        if not _mask_hv_convex(mask, m, n):
-            continue
-        if require_full_box and not _mask_full_box(mask, m, n):
-            continue
-        if _mask_connected(mask, m, n):
-            yield mask
-
-
 def _mask_to_cells(mask: int, m: int, n: int) -> np.ndarray:
     arr = np.zeros((m, n), dtype=bool)
     for i in range(m):
@@ -749,17 +742,60 @@ def _mask_to_cells(mask: int, m: int, n: int) -> np.ndarray:
     return arr
 
 
+# ---------------------------------------------------------------------------
+# feasible families, built once per grid shape
+#
+# A connected hv-convex set is a contiguous range of columns holding one
+# run of rows each.  Runs of adjacent columns meet at least in a corner
+# (8-connectivity), and a row that leaves the set never comes back (row
+# sections are single runs).  A depth-first search over column runs under
+# these two rules visits exactly the feasible sets, never a rejected mask.
+
+
+@functools.lru_cache(maxsize=8)
+def _family(m: int, n: int, require_full_box: bool) -> np.ndarray:
+    """Read-only ``(F, m, n)`` cell masks of every feasible set on an
+    ``m x n`` grid, in ascending order of the bit key ``i * n + j``."""
+    runs = [(lo, hi, ((1 << (hi - lo + 1)) - 1) << lo) for lo in range(n) for hi in range(lo, n)]
+    all_rows = (1 << n) - 1
+    keys = []
+
+    def extend(i, key, lo, hi, bits, seen, closed):
+        # column i is the last one taken and holds rows lo..hi (``bits``)
+        if not require_full_box or (i == m - 1 and seen == all_rows):
+            keys.append(key)
+        if i == m - 1:
+            return
+        for lo2, hi2, bits2 in runs:
+            if lo2 <= hi + 1 and hi2 >= lo - 1 and not bits2 & closed:
+                extend(i + 1, key | bits2 << ((i + 1) * n), lo2, hi2, bits2,
+                       seen | bits2, closed | (bits & ~bits2))
+
+    for i0 in range(1 if require_full_box else m):
+        for lo, hi, bits in runs:
+            extend(i0, bits << (i0 * n), lo, hi, bits, bits, 0)
+    keys.sort()
+    shifts = np.arange(m * n, dtype=np.uint64)
+    codes = np.array(keys, dtype=np.uint64)
+    cells = ((codes[:, None] >> shifts) & np.uint64(1)).astype(bool).reshape(-1, m, n)
+    cells.setflags(write=False)
+    return cells
+
+
 def enumerate_hv_connected(geometry: GridGeometry, require_full_box: bool = False):
     """Yield every hv-convex connected set on ``geometry`` exactly once.
 
     Guarded to ``m * n <= 20``.  Deterministic ascending order of the cell
-    indicator encoded with bit ``i * n + j`` per cell ``(i, j)``.
+    indicator encoded with bit ``i * n + j`` per cell ``(i, j)``.  The
+    family is built once per ``(m, n, require_full_box)`` by a search over
+    column runs and kept in a small cache, so later calls only wrap its
+    cell masks.
     """
     m, n = geometry.m, geometry.n
     if m * n > 20:
         raise TooLarge(f"{m}x{n} grid exceeds the enumeration guard of 20 cells")
-    for mask in _feasible_masks(m, n, require_full_box):
-        yield GridSet(geometry, _mask_to_cells(mask, m, n))
+    for cells in _family(m, n, bool(require_full_box)):
+        yield GridSet(geometry, cells)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ a bug in the fast incremental scoring cannot leak into results.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -28,12 +29,12 @@ from .conic import (
     parse_profile_csv,
     sup_norm_diff,
 )
-from .errors import FormatError, GeometryMismatch, InvalidParameter, TooLarge
+from .errors import ConicError, FormatError, GeometryMismatch, InvalidParameter, TooLarge
 from .grid import (
     Box,
     GridGeometry,
     GridSet,
-    _feasible_masks,
+    _family,
     _mask_connected,
     _mask_full_box,
     _mask_hv_convex,
@@ -95,8 +96,8 @@ class AnnealingParams:
         if not 0.0 < self.cooling < 1.0:
             raise InvalidParameter("cooling must lie strictly between 0 and 1")
         # zero steps allowed: the run then reports the initial sample
-        if self.steps < 0 or self.restarts < 0:
-            raise InvalidParameter("steps and restarts must be non-negative")
+        if self.steps < 0 or self.restarts < 0 or self.seed < 0:
+            raise InvalidParameter("steps, restarts and seed must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -109,11 +110,14 @@ class ReconstructionResult:
     optima: list | None = None
 
 
-def _feasible(L: GridSet, problem: ReconstructionProblem) -> bool:
+def _check_feasible(L: GridSet, problem: ReconstructionProblem) -> None:
+    # an engine returning a set outside the family is a bug, caught here
+    # through the reference predicates rather than the engines' own
     ok = is_hv_convex(L) and is_connected(L)
     if ok and problem.feasibility == FEAS_FULL:
         ok = in_level_set(L, problem.geometry.box)
-    return ok
+    if not ok:
+        raise RuntimeError(f"reconstruction returned an infeasible set: {L!r}")
 
 
 def objective(L: GridSet, problem: ReconstructionProblem) -> float:
@@ -129,6 +133,16 @@ def objective(L: GridSet, problem: ReconstructionProblem) -> float:
     if problem.norm == NORM_SUP:
         return sup_norm_diff(E, problem.target, box)
     return l1_norm_diff(E, problem.target, box, refine=problem.l1_refine).upper
+
+
+def _pymax(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # elementwise builtin max(a, b): keeps ``a`` on ties, so 0.0 and -0.0
+    # come out as the scalar path returns them (np.maximum may not)
+    return np.where(b > a, b, a)
+
+
+def _pymin(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.where(b < a, b, a)
 
 
 class _SupScore:
@@ -183,52 +197,102 @@ class _SupScore:
         vmin, vmax = self._axis(row_counts, 1)
         return max(umax + vmax, -(umin + vmin))
 
+    def axis_extrema(self, counts: np.ndarray, axk: int) -> tuple[np.ndarray, np.ndarray]:
+        """Per-row ``(min, max)`` of ``_axis`` for a ``(U, k)`` stack of counts.
+
+        The same formulas in the same order along each row, so every entry
+        is bit-identical to the scalar path; nothing is memoized.
+        """
+        lines, widths, cmids, cell, ki, tA, tB, tC, los, his = self._axes[axk]
+        vals = counts * cell
+        zero = np.zeros((len(counts), 1))
+        mass = np.concatenate([zero, np.cumsum(vals * widths, axis=1)], axis=1)
+        moment = np.concatenate([zero, np.cumsum(vals * widths * cmids, axis=1)], axis=1)
+        mtot, stot = mass[:, -1:], moment[:, -1:]
+        A = vals[:, ki]
+        B = 2.0 * mass[:, ki] - 2.0 * vals[:, ki] * lines[ki] - mtot
+        C = vals[:, ki] * lines[ki] ** 2 - 2.0 * moment[:, ki] + stot
+        dA, dB, dC = A - tA, B - tB, C - tC
+
+        def val(t):
+            return (dA * t + dB) * t + dC
+
+        cand_lo = val(los)
+        cand_hi = val(his)
+        best_max = _pymax(cand_lo.max(axis=1), cand_hi.max(axis=1))
+        best_min = _pymin(cand_lo.min(axis=1), cand_hi.min(axis=1))
+        nz = dA != 0.0
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            tv = -dB / (2.0 * dA)
+            ok = nz & (tv > los) & (tv < his)
+            vv = val(tv)
+        best_max = _pymax(best_max, np.where(ok, vv, -np.inf).max(axis=1))
+        best_min = _pymin(best_min, np.where(ok, vv, np.inf).min(axis=1))
+        return best_min, best_max
+
+
+@functools.lru_cache(maxsize=8)
+def _family_counts(m: int, n: int, full_box: bool):
+    """Distinct column-count and row-count vectors of a feasible family,
+    plus each member's row index into them (an ``np.unique`` inverse)."""
+    family = _family(m, n, full_box)
+    ucols, cinv = np.unique(family.sum(axis=2), axis=0, return_inverse=True)
+    urows, rinv = np.unique(family.sum(axis=1), axis=0, return_inverse=True)
+    out = (ucols, cinv.reshape(-1), urows, rinv.reshape(-1))
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
 
 def exhaustive(problem: ReconstructionProblem) -> ReconstructionResult:
-    """Scan every feasible set; return the best plus all global optima.
+    """Score every feasible set; return the best plus all global optima.
 
-    Candidates are visited in ascending order of the bit-encoded cell
-    indicator (bit ``i*n + j``), which fixes the reported order of tied
-    optima.  For the l1 norm "tied" means the objective brackets overlap
-    the best one; for sup ties are exact.
+    The feasible family comes from the per-grid cache behind
+    ``enumerate_hv_connected`` (a search over column runs, built once per
+    grid shape), in ascending order of the bit-encoded cell indicator
+    (bit ``i*n + j``), which fixes the reported order of tied optima.  The
+    sup norm scores the whole family in one vectorized pass over its
+    distinct column-count and row-count vectors; the l1 norm evaluates
+    each candidate's bracket.  For l1 "tied" means the objective brackets
+    overlap the best one; for sup ties are exact.
     """
     g = problem.geometry
     m, n = g.m, g.n
     if m * n > 16:
         raise TooLarge(f"{m}x{n} exceeds the exhaustive guard of 16 cells")
-    scorer = _SupScore(problem.target, g) if problem.norm == NORM_SUP else None
     full_box = problem.feasibility == FEAS_FULL
-
-    best_mask = None
-    best_val = math.inf
-    scored: list[tuple[int, float]] = []  # mask, bracket lower end
-    trace = []
-    scanned = 0
-    for mask in _feasible_masks(m, n, full_box):
-        scanned += 1
-        if scorer is not None:
-            cells = _mask_to_cells(mask, m, n)
-            up = scorer(cells.sum(axis=1).astype(np.int64), cells.sum(axis=0).astype(np.int64))
-            lo = up
-        else:
-            L = GridSet(g, _mask_to_cells(mask, m, n))
-            br = l1_norm_diff(conic_of(L), problem.target, g.box, refine=problem.l1_refine)
-            lo, up = br.lower, br.upper
-        scored.append((mask, lo))
-        if up < best_val:
-            best_val = up
-            best_mask = mask
-            trace.append((scanned, up))
-    optima = [mask for mask, lo in scored if lo <= best_val]
-    best = GridSet(g, _mask_to_cells(best_mask, m, n))
-    assert _feasible(best, problem)
+    family = _family(m, n, full_box)
+    if problem.norm == NORM_SUP:
+        scorer = _SupScore(problem.target, g)
+        ucols, cinv, urows, rinv = _family_counts(m, n, full_box)
+        umin, umax = scorer.axis_extrema(ucols, 0)
+        vmin, vmax = scorer.axis_extrema(urows, 1)
+        upper = _pymax(umax[cinv] + vmax[rinv], -(umin[cinv] + vmin[rinv]))
+        lower = upper
+    else:
+        brackets = [
+            l1_norm_diff(conic_of(GridSet(g, cells)), problem.target, g.box,
+                         refine=problem.l1_refine)
+            for cells in family
+        ]
+        lower = np.array([br.lower for br in brackets])
+        upper = np.array([br.upper for br in brackets])
+    # a candidate enters the trace when it beats every earlier one
+    before = np.minimum.accumulate(np.concatenate([[math.inf], upper[:-1]]))
+    records = np.flatnonzero(upper < before)
+    if records.size == 0:
+        raise InvalidParameter("no feasible candidate has a finite objective")
+    trace = [(int(k) + 1, float(upper[k])) for k in records]
+    best_val = float(upper[records[-1]])
+    best = GridSet(g, family[records[-1]])
+    _check_feasible(best, problem)
     return ReconstructionResult(
         best=best,
         objective=objective(best, problem),
         trace=trace,
         thin_contact=thin_contact(best),
-        steps=scanned,
-        optima=[GridSet(g, _mask_to_cells(mk, m, n)) for mk in optima],
+        steps=len(family),
+        optima=[GridSet(g, family[k]) for k in np.flatnonzero(lower <= best_val)],
     )
 
 
@@ -315,8 +379,10 @@ def local_search(problem: ReconstructionProblem, params: AnnealingParams) -> Rec
         if best_val == 0.0:
             break
 
+    if best_mask is None:
+        raise InvalidParameter("no sampled candidate has a finite objective")
     best = GridSet(g, _mask_to_cells(best_mask, m, n))
-    assert _feasible(best, problem)
+    _check_feasible(best, problem)
     return ReconstructionResult(
         best=best,
         objective=objective(best, problem),
@@ -330,10 +396,37 @@ def local_search(problem: ReconstructionProblem, params: AnnealingParams) -> Rec
 # problem files
 
 
-def _require(spec: dict, key: str):
+def _require(spec, key: str):
+    if not isinstance(spec, dict):
+        raise FormatError(f"expected a JSON object holding {key!r}, got {spec!r}")
     if key not in spec:
         raise FormatError(f"problem spec missing {key!r}")
     return spec[key]
+
+
+def _convert(key: str, value, convert):
+    """``convert(value)``, reporting a malformed field as a FormatError."""
+    try:
+        return convert(value)
+    except ConicError:
+        raise
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise FormatError(f"bad {key!r} field {value!r}: {exc}") from None
+
+
+def _path(spec, key: str) -> str:
+    value = _require(spec, key)
+    if not isinstance(value, str):
+        raise FormatError(f"{key!r} must be a file path, got {value!r}")
+    return value
+
+
+def _int_pair(value) -> tuple[int, int]:
+    m, n = value
+    return int(m), int(n)
+
+
+_BUDGET_FIELDS = {"initial_temperature": float, "cooling": float, "steps": int, "restarts": int}
 
 
 def load_problem(path: str) -> tuple[ReconstructionProblem, AnnealingParams, str]:
@@ -342,7 +435,8 @@ def load_problem(path: str) -> tuple[ReconstructionProblem, AnnealingParams, str
     Layout: ``target`` is either ``{"hvset": FILE}`` or ``{"xray_csv":
     {"vertical": FILE, "horizontal": FILE}}``; plus ``box`` [a,b,c,d],
     ``dims`` [m,n], optional ``norm``/``l1_refine``/``feasibility``,
-    ``budget`` (annealing fields), ``seed`` and ``out_prefix``.
+    ``budget`` (annealing fields), ``seed`` and ``out_prefix``.  A field
+    of the wrong type or shape raises :class:`FormatError`.
     """
     with open(path, encoding="utf-8") as fh:
         try:
@@ -350,19 +444,19 @@ def load_problem(path: str) -> tuple[ReconstructionProblem, AnnealingParams, str
         except json.JSONDecodeError as exc:
             raise FormatError(f"malformed problem JSON: {exc}") from None
 
-    box = Box(*(float(v) for v in _require(spec, "box")))
-    m, n = (int(v) for v in _require(spec, "dims"))
+    box = _convert("box", _require(spec, "box"), lambda v: Box(*(float(x) for x in v)))
+    m, n = _convert("dims", _require(spec, "dims"), _int_pair)
     geometry = GridGeometry(box, m, n)
 
     tgt = _require(spec, "target")
-    if "hvset" in tgt:
-        with open(tgt["hvset"], encoding="utf-8") as fh:
+    if isinstance(tgt, dict) and "hvset" in tgt:
+        with open(_path(tgt, "hvset"), encoding="utf-8") as fh:
             gen = parse_hvset(fh.read())
         target = conic_of(gen)
-    elif "xray_csv" in tgt:
+    elif isinstance(tgt, dict) and "xray_csv" in tgt:
         paths = tgt["xray_csv"]
-        vpath = _require(paths, "vertical")
-        hpath = _require(paths, "horizontal")
+        vpath = _path(paths, "vertical")
+        hpath = _path(paths, "horizontal")
         with open(vpath, encoding="utf-8") as fh:
             yprof = parse_profile_csv(fh.read(), "vertical")
         with open(hpath, encoding="utf-8") as fh:
@@ -376,18 +470,18 @@ def load_problem(path: str) -> tuple[ReconstructionProblem, AnnealingParams, str
         geometry=geometry,
         norm=spec.get("norm", NORM_SUP),
         feasibility=spec.get("feasibility", FEAS_HV),
-        l1_refine=int(spec.get("l1_refine", 4)),
+        l1_refine=_convert("l1_refine", spec.get("l1_refine", 4), int),
     )
-    budget = dict(spec.get("budget", {}))
-    if "initial_temperature" in budget:
-        budget["initial_temperature"] = float(budget["initial_temperature"])
-    if "cooling" in budget:
-        budget["cooling"] = float(budget["cooling"])
-    for key in ("steps", "restarts"):
-        if key in budget:
-            budget[key] = int(budget[key])
+    budget = spec.get("budget", {})
+    if not isinstance(budget, dict):
+        raise FormatError(f"'budget' must be a JSON object, got {budget!r}")
+    fields = {
+        key: _convert(key, value, _BUDGET_FIELDS[key]) if key in _BUDGET_FIELDS else value
+        for key, value in budget.items()
+    }
+    seed = _convert("seed", spec.get("seed", 0), int)
     try:
-        params = AnnealingParams(seed=int(spec.get("seed", 0)), **budget)
+        params = AnnealingParams(seed=seed, **fields)
     except TypeError as exc:
         raise FormatError(f"bad budget field: {exc}") from None
     return problem, params, str(spec.get("out_prefix", "reconstruction"))

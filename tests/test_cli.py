@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import hvconic as hv
-from hvconic.cli import run
+from hvconic.cli import _build_parser, run
 
 
 def invoke(capsys, *argv):
@@ -253,6 +253,64 @@ def test_usage_errors_exit_two(capsys):
     assert invoke(capsys, "nosuchcommand")[0] == 2
     assert invoke(capsys, "verify", "nosuchmode")[0] == 2
     assert invoke(capsys)[0] == 2
+
+
+def _problem(tmp_path, **fields):
+    geo = hv.GridGeometry(hv.Box(0, 2, 0, 2), 2, 2)
+    gen = tmp_path / "gen.hvset"
+    gen.write_text(hv.format_hvset(hv.GridSet.full(geo)), "utf-8")
+    body = {"target": {"hvset": str(gen)}, "box": [0, 2, 0, 2], "dims": [2, 2],
+            "out_prefix": str(tmp_path / "rec")}
+    body.update(fields)
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(body), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"box": [0, 4, 0]},
+        {"dims": ["a", 4]},
+        {"target": 5},
+        {"budget": {"steps": "x"}},
+        {"budget": 5},
+        {"dims": [2]},
+        {"dims": [float("inf"), 2]},
+        {"seed": "x"},
+        {"l1_refine": None},
+        {"target": {"hvset": 5}},
+        {"target": {"xray_csv": ["v.csv", "h.csv"]}},
+    ],
+)
+def test_bad_problem_field_is_format_error(tmp_path, capsys, fields):
+    for extra in ([], ["--oracle"]):
+        code, out, err = invoke(capsys, "reconstruct", _problem(tmp_path, **fields), *extra)
+        assert code == 1 and out == ""
+        assert err.startswith("ERROR FormatError:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("bad", ["inf", "nan"])
+def test_non_finite_profile_is_format_error(tmp_path, capsys, bad):
+    rows = "t_lo,t_hi,value\n0.0,1.0,1.0\n1.0,2.0,{}\n".format(bad)
+    (tmp_path / "v.csv").write_text(rows, encoding="utf-8")
+    (tmp_path / "h.csv").write_text(rows, encoding="utf-8")
+    target = {"xray_csv": {"vertical": str(tmp_path / "v.csv"),
+                           "horizontal": str(tmp_path / "h.csv")}}
+    for extra in ([], ["--oracle"]):
+        code, out, err = invoke(capsys, "reconstruct", _problem(tmp_path, target=target), *extra)
+        assert code == 1 and out == ""
+        assert err.startswith("ERROR FormatError:") and err.count("\n") == 1
+
+
+def test_parser_built_once_and_output_unchanged(capsys):
+    assert _build_parser() is _build_parser()
+    # argparse resolves sys.stderr when it prints, so a cached parser still
+    # writes to the stream captured for each call
+    first = invoke(capsys, "gen", "--dims", "4x4")
+    second = invoke(capsys, "gen", "--dims", "4x4")
+    assert first == second and first[0] == 2 and "--box" in first[2]
+    assert invoke(capsys, "enum", "--dims", "2x2") == (0, "15\n", "")
 
 
 def test_console_entry_subprocess():

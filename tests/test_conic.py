@@ -42,6 +42,11 @@ def test_profile_validation():
         hv.XRayProfile(VERTICAL, [0, 1], [-0.5])
     with pytest.raises(InvalidParameter):
         hv.XRayProfile(VERTICAL, [0, 1, 2], [1.0])
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(InvalidParameter):
+            hv.XRayProfile(VERTICAL, [0, 1], [bad])
+        with pytest.raises(InvalidParameter):
+            hv.XRayProfile(VERTICAL, [0, bad], [1.0])
 
 
 def test_profile_mass_and_value_at():
@@ -287,6 +292,21 @@ def test_profile_csv_errors(text, line):
     with pytest.raises(FormatError) as err:
         hv.parse_profile_csv(text, VERTICAL)
     assert err.value.line == line
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "t_lo,t_hi,value\n0,1,inf\n",
+        "t_lo,t_hi,value\n0,1,nan\n",
+        "t_lo,t_hi,value\n0,1,1\n1,inf,1\n",
+        "t_lo,t_hi,value\nnan,1,1\n",
+        "t_lo,t_hi,value\n0,1e300,1e300\n",  # finite, but the mass overflows
+    ],
+)
+def test_profile_csv_rejects_non_finite(text):
+    with pytest.raises(FormatError):
+        hv.parse_profile_csv(text, VERTICAL)
 
 
 def test_field_csv():

@@ -23,6 +23,7 @@ from hvconic.errors import (
     NonConvexColumn,
     TooLarge,
 )
+from hvconic.grid import _family
 
 
 # ---------------------------------------------------------------------------
@@ -81,6 +82,13 @@ GEO88 = hv.GridGeometry(hv.Box(0.0, 8.0, 0.0, 8.0), 8, 8)
 
 # ---------------------------------------------------------------------------
 # geometry basics
+
+
+@pytest.mark.parametrize("sides", [(0.0, math.inf, 0.0, 1.0), (-math.inf, 1.0, 0.0, 1.0),
+                                   (math.nan, 1.0, 0.0, 1.0), (0.0, 1.0, 0.0, math.nan)])
+def test_box_rejects_non_finite_sides(sides):
+    with pytest.raises(InvalidParameter):
+        hv.Box(*sides)
 
 
 def test_box_validation():
@@ -389,6 +397,35 @@ def test_enumerate_full_box_subset():
     full = list(hv.enumerate_hv_connected(geo, require_full_box=True))
     assert all(hv.in_level_set(L, geo.box) for L in full)
     assert len(full) == 90  # frozen from the predicate-level brute force
+
+
+SHAPES_UP_TO_12 = [(m, n) for m in range(1, 13) for n in range(1, 13) if m * n <= 12]
+
+
+@pytest.mark.parametrize("m,n", SHAPES_UP_TO_12)
+def test_family_matches_numpy_predicates(m, n):
+    # every mask, in ascending bit-key order, through the GridSet predicates
+    geo = hv.GridGeometry(hv.Box(0, m, 0, n), m, n)
+    bits = np.arange(m * n)
+    expect = {False: [], True: []}
+    for mask in range(1, 1 << (m * n)):
+        L = hv.GridSet(geo, ((mask >> bits) & 1).astype(bool).reshape(m, n))
+        if hv.is_hv_convex(L) and hv.is_connected(L):
+            expect[False].append(L)
+            if hv.in_level_set(L, geo.box):
+                expect[True].append(L)
+    for full in (False, True):
+        assert list(hv.enumerate_hv_connected(geo, require_full_box=full)) == expect[full]
+
+
+def test_family_cache_is_read_only():
+    sets = list(hv.enumerate_hv_connected(hv.GridGeometry(hv.Box(0, 3, 0, 4), 3, 4)))
+    fam = _family(3, 4, False)
+    assert fam.shape == (len(sets), 3, 4) and fam is _family(3, 4, False)
+    with pytest.raises(ValueError):
+        fam[0, 0, 0] = not fam[0, 0, 0]
+    # sets handed out own their cells, so the cache cannot leak through them
+    assert not np.shares_memory(sets[0].cells, fam)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 
 import hvconic as hv
 from hvconic.errors import FormatError, GeometryMismatch, InvalidParameter, TooLarge
+from hvconic.reconstruct import _check_feasible, _SupScore
 
 GEO22 = hv.GridGeometry(hv.Box(0.0, 2.0, 0.0, 2.0), 2, 2)
 GEO33 = hv.GridGeometry(hv.Box(0.0, 3.0, 0.0, 3.0), 3, 3)
@@ -57,6 +58,8 @@ def test_problem_validation():
         hv.AnnealingParams(cooling=1.0)
     with pytest.raises(InvalidParameter):
         hv.AnnealingParams(steps=-1)
+    with pytest.raises(InvalidParameter):
+        hv.AnnealingParams(seed=-1)  # numpy generators take no negative seed
     hv.AnnealingParams(steps=0)  # explicitly allowed
 
 
@@ -124,6 +127,78 @@ def test_exhaustive_matches_brute_force_3x3():
         C for C in hv.enumerate_hv_connected(GEO33) if hv.objective(C, prob) == best
     ]
     assert res.optima == brute_optima
+
+
+def key(L):
+    # the documented bit key: bit i*n + j for cell (i, j)
+    return sum(1 << (int(i) * L.geometry.n + int(j)) for i, j in L.occupied())
+
+
+DIAG = hv.GridSet.from_cells(GEO22, [(0, 0), (1, 1)])
+CORNER = hv.GridSet.from_cells(GEO22, [(0, 0)])
+
+
+@pytest.mark.parametrize(
+    "prob,steps,trace,optima",
+    [
+        (problem_for(DIAG), 15, [(1, 3.0), (3, 1.0), (6, 0.0)], [6, 9]),
+        (problem_for(CORNER, feasibility="hv_connected_full_box"), 7, [(1, 3.0)], [6, 9]),
+        (problem_for(DIAG, norm="l1", l1_refine=2), 15, [(1, 6.25), (3, 3.75), (6, 0.0)], [6, 9]),
+        (
+            problem_for(hv.sample_hv_convex(GEO44, 5)),
+            3411,
+            [(1, 19.0), (2, 18.0), (3, 17.0), (5, 15.0), (6, 14.0), (9, 12.0), (10, 10.0),
+             (17, 9.0), (27, 8.0), (67, 7.0), (91, 6.0), (154, 5.0), (225, 4.0), (481, 3.0),
+             (632, 2.0), (966, 1.0), (1316, 0.0)],
+            [11776],
+        ),
+        (
+            hv.ReconstructionProblem(
+                hv.conic_of(hv.sample_hv_convex(hv.GridGeometry(GEO44.box, 7, 7), 4)),
+                GEO44,
+                feasibility="hv_connected_full_box",
+            ),
+            1398,
+            [(1, 28.32069970845481), (3, 21.32069970845481), (8, 20.32069970845481),
+             (33, 14.32069970845481)],
+            [4680, 33825],
+        ),
+    ],
+)
+def test_exhaustive_trace_and_optima_frozen(prob, steps, trace, optima):
+    # frozen from the bitmask scan the family search replaced; repr also
+    # pins the types and the sign of zero
+    res = hv.exhaustive(prob)
+    assert res.steps == steps
+    assert repr(res.trace) == repr(trace)
+    assert [key(L) for L in res.optima] == optima
+    assert res.objective == trace[-1][1]
+
+
+@pytest.mark.parametrize("geo", [GEO33, GEO44])
+@pytest.mark.parametrize("full", [False, True])
+def test_batch_scorer_matches_scalar_bitwise(geo, full):
+    family = list(hv.enumerate_hv_connected(geo, require_full_box=full))
+    cols = np.array([L.col_counts() for L in family])
+    rows = np.array([L.row_counts() for L in family])
+    fine = hv.GridGeometry(geo.box, 2 * geo.m + 1, 2 * geo.n + 1)
+    targets = [hv.sample_hv_convex(geo, [41, k]) for k in range(3)]
+    targets += [hv.sample_hv_convex(fine, [43, k], require_full_box=True) for k in range(3)]
+    for T in targets:
+        scorer = _SupScore(hv.conic_of(T), geo)
+        for axk, counts in ((0, cols), (1, rows)):
+            lo, hi = scorer.axis_extrema(counts, axk)
+            scalar = np.array([scorer._axis(c, axk) for c in counts])
+            assert lo.tobytes() == scalar[:, 0].tobytes()
+            assert hi.tobytes() == scalar[:, 1].tobytes()
+
+
+def test_infeasible_result_raises_not_asserts():
+    # the engines' final check is an explicit raise, so it survives python -O
+    gap = hv.GridSet.from_cells(GEO33, [(0, 0), (2, 2)])
+    with pytest.raises(RuntimeError):
+        _check_feasible(gap, problem_for(gap))
+    _check_feasible(DIAG, problem_for(DIAG))
 
 
 # ---------------------------------------------------------------------------
