@@ -23,6 +23,7 @@ from .errors import ConicError
 from .grid import (
     Box,
     GridGeometry,
+    _seeded_rng,
     enumerate_hv_connected,
     format_hvset,
     parse_hvset,
@@ -215,7 +216,7 @@ def _verify_reports(args):
                 res = [GridGeometry(args.box, *_dims(d)) for d in args.resolutions.split(",")]
             yield checks.check_convergence(L, res, subsamples=args.subsamples)
         elif args.mode == "polyline":
-            rng = np.random.default_rng([base, k])
+            rng = _seeded_rng([base, k])
             xs = np.cumsum(rng.uniform(0.2, 1.0, args.segments + 1))
             ys = rng.uniform(0.0, 2.0, args.segments + 1)
             P = Polyline(zip(xs, ys))  # x-monotone, hence simple

@@ -610,8 +610,15 @@ def sample_hv_convex(geometry: GridGeometry, seed, require_full_box: bool = Fals
     column is used, the top profile reaches the top of the box and the
     bottom profile its bottom, which forces full projections on both axes.
     """
-    rng = np.random.default_rng(seed)
-    return _sample_with_rng(geometry, rng, require_full_box)
+    return _sample_with_rng(geometry, _seeded_rng(seed), require_full_box)
+
+
+def _seeded_rng(seed) -> np.random.Generator:
+    """``np.random.default_rng(seed)``; a negative seed raises InvalidParameter."""
+    try:
+        return np.random.default_rng(seed)
+    except ValueError as exc:  # numpy: "expected non-negative integer"
+        raise InvalidParameter(f"bad seed {seed!r}: {exc}") from None
 
 
 def _sample_with_rng(geometry: GridGeometry, rng, require_full_box: bool) -> GridSet:
@@ -846,15 +853,16 @@ def parse_hvset(text: str) -> GridSet:
         raise FormatError(
             f"expected {n} data rows, found {len(lines) - 3}", line=len(lines) + 1
         )
-    cells = np.zeros((m, n), dtype=bool)
-    for k, row in enumerate(lines[3:]):
-        lineno = 4 + k
+    # every row is checked before the (m, n) mask is allocated, so a huge
+    # dims line with too few characters fails here, not in numpy
+    rows = lines[3:]
+    for k, row in enumerate(rows):
         if len(row) != m:
-            raise FormatError(f"expected {m} characters, found {len(row)}", line=lineno)
-        j = n - 1 - k
-        for i, ch in enumerate(row):
-            if ch == "1":
-                cells[i, j] = True
-            elif ch != "0":
-                raise FormatError(f"bad cell character {ch!r}", line=lineno)
+            raise FormatError(f"expected {m} characters, found {len(row)}", line=4 + k)
+        bad = row.replace("0", "").replace("1", "")
+        if bad:
+            raise FormatError(f"bad cell character {bad[0]!r}", line=4 + k)
+    # rows are listed top y first; cell (i, j) is character i of row n-1-j
+    text_cells = np.frombuffer("".join(reversed(rows)).encode("ascii"), dtype=np.uint8)
+    cells = (text_cells.reshape(n, m) == ord("1")).T.copy()
     return GridSet(geom, cells)

@@ -21,6 +21,9 @@ import numpy as np
 from .conic import (
     ConicEvaluator,
     XRayProfile,
+    _axis_eval,
+    _axis_slope,
+    _axis_values_and_weights,
     _extrema_from_coeffs,
     _merged_points,
     _profile_coeffs,
@@ -204,14 +207,7 @@ class _SupScore:
         is bit-identical to the scalar path; nothing is memoized.
         """
         lines, widths, cmids, cell, ki, tA, tB, tC, los, his = self._axes[axk]
-        vals = counts * cell
-        zero = np.zeros((len(counts), 1))
-        mass = np.concatenate([zero, np.cumsum(vals * widths, axis=1)], axis=1)
-        moment = np.concatenate([zero, np.cumsum(vals * widths * cmids, axis=1)], axis=1)
-        mtot, stot = mass[:, -1:], moment[:, -1:]
-        A = vals[:, ki]
-        B = 2.0 * mass[:, ki] - 2.0 * vals[:, ki] * lines[ki] - mtot
-        C = vals[:, ki] * lines[ki] ** 2 - 2.0 * moment[:, ki] + stot
+        A, B, C = _count_coeffs(counts, lines, cell, ki)
         dA, dB, dC = A - tA, B - tB, C - tC
 
         def val(t):
@@ -229,6 +225,85 @@ class _SupScore:
         best_max = _pymax(best_max, np.where(ok, vv, -np.inf).max(axis=1))
         best_min = _pymin(best_min, np.where(ok, vv, np.inf).min(axis=1))
         return best_min, best_max
+
+
+def _count_coeffs(counts: np.ndarray, lines: np.ndarray, cell: float, k: np.ndarray):
+    """Axis-term coefficients ``(A, B, C)`` for a ``(U, r)`` stack of counts.
+
+    Row ``u`` is the profile with plateau values ``counts[u] * cell`` on the
+    grid ``lines``; column ``p`` is its quadratic on plateau ``k[p]`` (``-1``
+    and ``r`` are the linear tails).  The formulas of ``_profile_coeffs`` in
+    the same order, so every entry is bit-identical to the built profile's.
+    """
+    widths = np.diff(lines)
+    cmids = 0.5 * (lines[:-1] + lines[1:])
+    vals = counts * cell
+    zero = np.zeros((len(counts), 1))
+    mass = np.concatenate([zero, np.cumsum(vals * widths, axis=1)], axis=1)
+    moment = np.concatenate([zero, np.cumsum(vals * widths * cmids, axis=1)], axis=1)
+    mtot, stot = mass[:, -1:], moment[:, -1:]
+    r = len(widths)
+    ki = np.clip(k, 0, r - 1)
+    A = vals[:, ki]
+    B = 2.0 * mass[:, ki] - 2.0 * A * lines[ki] - mtot
+    C = A * lines[ki] ** 2 - 2.0 * moment[:, ki] + stot
+    left, right = k < 0, k >= r
+    A = np.where(left | right, 0.0, A)
+    B = np.where(left, -mtot, np.where(right, mtot, B))
+    C = np.where(left, stot, np.where(right, -stot, C))
+    return A, B, C
+
+
+# the l1 quadrature sum runs over blocks of members holding at most this
+# many (member, x-point, y-point) products at once, 512 KiB a temporary
+# (a member with more points than that forms a block alone)
+_L1_BLOCK = 1 << 16
+
+
+def _l1_axis(counts, lines, cell, tprof, lo, hi, refine):
+    """Quadrature weights, per-row term differences and slope bounds of
+    one axis, mirroring ``l1_norm_diff`` for every row of ``counts``."""
+    probe = XRayProfile(tprof.axis, lines, np.ones(len(lines) - 1))
+    mids, w, _, pts = _axis_values_and_weights(probe, tprof, lo, hi, refine)
+    knots = np.concatenate([pts, 0.5 * (pts[:-1] + pts[1:])])
+    ts = np.concatenate([mids, knots])
+    coeffs = _count_coeffs(counts, lines, cell, np.searchsorted(lines, ts, side="right") - 1)
+    (Am, Ak), (Bm, Bk), (Cm, _) = (np.split(X, [len(mids)], axis=1) for X in coeffs)
+    diff = ((Am * mids + Bm) * mids + Cm) - _axis_eval(tprof, mids)
+    gap = np.abs((2.0 * Ak * knots + Bk) - _axis_slope(tprof, knots))
+    lip = _pymax(gap[:, : len(pts)].max(axis=1), gap[:, len(pts) :].max(axis=1))
+    return w, diff, lip
+
+
+def _l1_brackets(target: ConicEvaluator, geometry: GridGeometry, refine: int,
+                 ucols, cinv, urows, rinv) -> tuple[np.ndarray, np.ndarray]:
+    """``l1_norm_diff`` brackets of a family given by its distinct count
+    vectors and each member's index into them, bit-identical to the public
+    evaluation: every member's breakpoints are the grid lines, so the
+    partition, quadrature points and weights are shared."""
+    box = geometry.box
+    wx, du, lip_x = _l1_axis(ucols, geometry.xlines(), geometry.cell_h,
+                             target.yprofile, box.a, box.b, refine)
+    wy, dv, lip_y = _l1_axis(urows, geometry.ylines(), geometry.cell_w,
+                             target.xprofile, box.c, box.d, refine)
+    weights = wx[:, None] * wy[None, :]
+    total = np.empty(len(cinv))
+    step = max(1, _L1_BLOCK // weights.size)
+    for s in range(0, len(cinv), step):
+        c, r = cinv[s : s + step], rinv[s : s + step]
+        block = du[c][:, :, None] + dv[r][:, None, :]
+        np.abs(block, out=block)
+        np.multiply(weights, block, out=block)
+        total[s : s + step] = block.reshape(len(c), -1).sum(axis=1)
+    ex = lip_x * float((wx**2).sum()) * float(wy.sum())
+    ey = lip_y * float((wy**2).sum()) * float(wx.sum())
+    err = 0.25 * (ex[cinv] + ey[rinv])
+    lower = _pymax(0.0, total - err)
+    upper = total + err
+    bad = np.flatnonzero(~(lower <= upper))
+    if bad.size:
+        raise InvalidParameter(f"bad bracket [{lower[bad[0]]}, {upper[bad[0]]}]")
+    return lower, upper
 
 
 @functools.lru_cache(maxsize=8)
@@ -251,10 +326,10 @@ def exhaustive(problem: ReconstructionProblem) -> ReconstructionResult:
     ``enumerate_hv_connected`` (a search over column runs, built once per
     grid shape), in ascending order of the bit-encoded cell indicator
     (bit ``i*n + j``), which fixes the reported order of tied optima.  The
-    sup norm scores the whole family in one vectorized pass over its
-    distinct column-count and row-count vectors; the l1 norm evaluates
-    each candidate's bracket.  For l1 "tied" means the objective brackets
-    overlap the best one; for sup ties are exact.
+    whole family is scored in one vectorized pass over its distinct
+    column-count and row-count vectors, for either norm.  For l1 "tied"
+    means the objective brackets overlap the best one; for sup ties are
+    exact.
     """
     g = problem.geometry
     m, n = g.m, g.n
@@ -262,21 +337,16 @@ def exhaustive(problem: ReconstructionProblem) -> ReconstructionResult:
         raise TooLarge(f"{m}x{n} exceeds the exhaustive guard of 16 cells")
     full_box = problem.feasibility == FEAS_FULL
     family = _family(m, n, full_box)
+    ucols, cinv, urows, rinv = _family_counts(m, n, full_box)
     if problem.norm == NORM_SUP:
         scorer = _SupScore(problem.target, g)
-        ucols, cinv, urows, rinv = _family_counts(m, n, full_box)
         umin, umax = scorer.axis_extrema(ucols, 0)
         vmin, vmax = scorer.axis_extrema(urows, 1)
         upper = _pymax(umax[cinv] + vmax[rinv], -(umin[cinv] + vmin[rinv]))
         lower = upper
     else:
-        brackets = [
-            l1_norm_diff(conic_of(GridSet(g, cells)), problem.target, g.box,
-                         refine=problem.l1_refine)
-            for cells in family
-        ]
-        lower = np.array([br.lower for br in brackets])
-        upper = np.array([br.upper for br in brackets])
+        lower, upper = _l1_brackets(problem.target, g, problem.l1_refine,
+                                    ucols, cinv, urows, rinv)
     # a candidate enters the trace when it beats every earlier one
     before = np.minimum.accumulate(np.concatenate([[math.inf], upper[:-1]]))
     records = np.flatnonzero(upper < before)

@@ -214,6 +214,38 @@ def test_reconstruct_oracle_reports_optima(tmp_path, capsys):
     assert summary["thin_contact"] is True
 
 
+def test_reconstruct_oracle_l1_bytes_frozen(tmp_path, capsys, monkeypatch):
+    # outputs frozen from the per-candidate l1 scan: an X-ray target on a
+    # finer grid, so the optimum is a non-zero bracket end with ties
+    monkeypatch.chdir(tmp_path)
+    invoke(capsys, "gen", "--dims", "7x9", "--box", "0,3,0,4", "--seed", "5",
+           "--out", "gen.hvset")
+    invoke(capsys, "xray", "gen.hvset", "--out-prefix", "t")
+    (tmp_path / "p.json").write_text(
+        json.dumps(
+            {
+                "target": {"xray_csv": {"vertical": "t_vertical.csv",
+                                        "horizontal": "t_horizontal.csv"}},
+                "box": [0, 3, 0, 4],
+                "dims": [3, 4],
+                "norm": "l1",
+                "l1_refine": 3,
+                "out_prefix": "rec",
+            }
+        ),
+        encoding="utf-8",
+    )
+    code, out, err = invoke(capsys, "reconstruct", "p.json", "--oracle")
+    assert (code, err) == (0, "")
+    assert out == (
+        '{"objective": 9.62750311583397, "optima": 3, "steps": 729, '
+        '"thin_contact": false}\n'
+    )
+    assert (tmp_path / "rec.hvset").read_bytes() == (
+        b"HVSET v1\nbox 0.0 3.0 0.0 4.0\ndims 3 4\n000\n000\n001\n001\n"
+    )
+
+
 # ---------------------------------------------------------------------------
 # failure modes
 
@@ -253,6 +285,28 @@ def test_usage_errors_exit_two(capsys):
     assert invoke(capsys, "nosuchcommand")[0] == 2
     assert invoke(capsys, "verify", "nosuchmode")[0] == 2
     assert invoke(capsys)[0] == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--dims", "4x4", "--box", "0,4,0,4", "--seed", "-1"],
+        ["verify", "concavity", "--seeds", "1", "--seed", "-1"],
+        ["verify", "polyline", "--seeds", "1", "--seed", "-1"],
+    ],
+)
+def test_negative_seed_is_invalid_parameter(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("ERROR InvalidParameter:") and err.count("\n") == 1
+
+
+def test_huge_dims_hvset_is_format_error(tmp_path, capsys):
+    bad = tmp_path / "huge.hvset"
+    bad.write_text("HVSET v1\nbox 0 1 0 1\ndims 10000000000000 1\n0\n", encoding="utf-8")
+    code, out, err = invoke(capsys, "xray", str(bad))
+    assert code == 1 and out == ""
+    assert err.startswith("ERROR FormatError:") and err.count("\n") == 1
 
 
 def _problem(tmp_path, **fields):

@@ -299,6 +299,12 @@ def test_sampler_deterministic():
     assert hv.sample_hv_convex(GEO88, 123) != hv.sample_hv_convex(GEO88, 124)
 
 
+@pytest.mark.parametrize("seed", [-1, [-1, 0], [3, -2, 1]])
+def test_sampler_rejects_negative_seed(seed):
+    with pytest.raises(InvalidParameter):
+        hv.sample_hv_convex(GEO88, seed)
+
+
 # ---------------------------------------------------------------------------
 # dilation
 
@@ -454,6 +460,29 @@ def test_hvset_parse_errors(mutate, line):
         hv.parse_hvset(mutate(text))
     if line is not None:
         assert err.value.line == line
+
+
+@pytest.mark.parametrize(
+    "body,line,message",
+    [
+        ("dims 10000000000000 1\n0\n", 4, "expected 10000000000000 characters"),
+        ("dims 3 2\n010\n01\n", 5, "expected 3 characters, found 2"),
+        ("dims 3 2\n01x\n0a1\n", 4, "bad cell character 'x'"),
+    ],
+)
+def test_hvset_rows_checked_before_allocation(body, line, message):
+    # a dims line far beyond the data must fail on the rows, never on the
+    # allocation of the (m, n) mask
+    with pytest.raises(FormatError) as err:
+        hv.parse_hvset("HVSET v1\nbox 0 1 0 1\n" + body)
+    assert err.value.line == line and message in str(err.value)
+
+
+def test_hvset_parse_orientation():
+    text = "HVSET v1\nbox 0.0 3.0 0.0 2.0\ndims 3 2\n100\n011\n"
+    L = hv.parse_hvset(text)
+    assert sorted(map(tuple, L.occupied().tolist())) == [(0, 1), (1, 0), (2, 0)]
+    assert L.cells.flags.c_contiguous and hv.format_hvset(L) == text
 
 
 # ---------------------------------------------------------------------------

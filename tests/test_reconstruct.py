@@ -7,7 +7,7 @@ import pytest
 
 import hvconic as hv
 from hvconic.errors import FormatError, GeometryMismatch, InvalidParameter, TooLarge
-from hvconic.reconstruct import _check_feasible, _SupScore
+from hvconic.reconstruct import _check_feasible, _family_counts, _l1_brackets, _SupScore
 
 GEO22 = hv.GridGeometry(hv.Box(0.0, 2.0, 0.0, 2.0), 2, 2)
 GEO33 = hv.GridGeometry(hv.Box(0.0, 3.0, 0.0, 3.0), 3, 3)
@@ -175,6 +175,69 @@ def test_exhaustive_trace_and_optima_frozen(prob, steps, trace, optima):
     assert res.objective == trace[-1][1]
 
 
+GEO34 = hv.GridGeometry(hv.Box(0.0, 3.0, 0.0, 4.0), 3, 4)
+
+
+def l1_problem(T, geo, **kw):
+    return hv.ReconstructionProblem(hv.conic_of(T), geo, norm="l1", **kw)
+
+
+@pytest.mark.parametrize(
+    "prob,steps,trace,optima,obj",
+    [
+        (
+            l1_problem(hv.sample_hv_convex(GEO33, 7), GEO33),
+            213,
+            [(1, 14.79296875), (2, 12.65625), (7, 9.5625), (13, 8.15625), (76, 0.0)],
+            [128],
+            0.0,
+        ),
+        (
+            l1_problem(hv.sample_hv_convex(GEO33, 8, require_full_box=True), GEO33,
+                       feasibility="hv_connected_full_box", l1_refine=1),
+            90,
+            [(1, 15.0), (5, 12.0), (61, 0.0)],
+            [114, 156, 177, 186, 282, 393],
+            0.0,
+        ),
+        (
+            l1_problem(hv.sample_hv_convex(GEO34, 11), GEO34, l1_refine=7),
+            729,
+            [(1, 55.214285714285715), (3, 33.24062890462307), (5, 33.17857142857142),
+             (6, 22.86734693877551), (9, 0.0)],
+            [14],
+            0.0,
+        ),
+        (
+            l1_problem(hv.sample_hv_convex(hv.GridGeometry(GEO34.box, 7, 9), 12,
+                                           require_full_box=True),
+                       GEO34, feasibility="hv_connected_full_box"),
+            284,
+            [(1, 33.87236307386711), (3, 30.056324286034226), (5, 26.73164960612405),
+             (11, 21.036638580696838)],
+            [376, 482, 632, 737, 872, 2161, 2162, 3122],
+            21.036638580696838,
+        ),
+        (
+            l1_problem(hv.sample_hv_convex(hv.GridGeometry(GEO33.box, 7, 7), 3), GEO33),
+            213,
+            [(1, 13.626820065672044), (2, 11.614214524640031), (7, 10.300278529779263),
+             (13, 7.702385213378357)],
+            [16],
+            7.702385213378357,
+        ),
+    ],
+)
+def test_exhaustive_l1_trace_and_optima_frozen(prob, steps, trace, optima, obj):
+    # frozen from the per-candidate l1_norm_diff scan; l1 ties are
+    # brackets overlapping the best one, so optima may hold several sets
+    res = hv.exhaustive(prob)
+    assert res.steps == steps
+    assert repr(res.trace) == repr(trace)
+    assert [key(L) for L in res.optima] == optima
+    assert repr(res.objective) == repr(obj)
+
+
 @pytest.mark.parametrize("geo", [GEO33, GEO44])
 @pytest.mark.parametrize("full", [False, True])
 def test_batch_scorer_matches_scalar_bitwise(geo, full):
@@ -191,6 +254,28 @@ def test_batch_scorer_matches_scalar_bitwise(geo, full):
             scalar = np.array([scorer._axis(c, axk) for c in counts])
             assert lo.tobytes() == scalar[:, 0].tobytes()
             assert hi.tobytes() == scalar[:, 1].tobytes()
+
+
+@pytest.mark.parametrize("geo", [GEO33, GEO34, GEO44])
+@pytest.mark.parametrize("full", [False, True])
+def test_batch_l1_brackets_match_l1_norm_diff_bitwise(geo, full):
+    family = list(hv.enumerate_hv_connected(geo, require_full_box=full))
+    fields = [hv.conic_of(L) for L in family]
+    counts = _family_counts(geo.m, geo.n, full)
+    fine = hv.GridGeometry(geo.box, 2 * geo.m + 1, 2 * geo.n + 1)
+    targets = [hv.sample_hv_convex(geo, [47, geo.n]),
+               hv.sample_hv_convex(fine, [53, geo.n], require_full_box=True)]
+    cases = [(hv.conic_of(T), refine) for T in targets for refine in (1, 4, 7)]
+    if geo is GEO44:
+        # the reference costs about 0.6 ms a member, so on the 3411-set
+        # family each refine runs against one target: (grid, 1), (grid, 7),
+        # (fine, 4)
+        cases = cases[::2]
+    for target, refine in cases:
+        lower, upper = _l1_brackets(target, geo, refine, *counts)
+        brackets = [hv.l1_norm_diff(E, target, geo.box, refine=refine) for E in fields]
+        assert lower.tobytes() == np.array([b.lower for b in brackets]).tobytes()
+        assert upper.tobytes() == np.array([b.upper for b in brackets]).tobytes()
 
 
 def test_infeasible_result_raises_not_asserts():
