@@ -660,96 +660,6 @@ def _sample_with_rng(geometry: GridGeometry, rng, require_full_box: bool) -> Gri
 
 
 # ---------------------------------------------------------------------------
-# bitmask predicates (the annealer's single-cell toggles)
-#
-# Cell (i, j) maps to bit i * n + j.  The same bit key, read as an integer,
-# fixes the order of the enumerated families below.
-
-
-def _col_bits(mask: int, i: int, n: int) -> int:
-    return (mask >> (i * n)) & ((1 << n) - 1)
-
-
-def _is_run(x: int) -> bool:
-    y = x >> ((x & -x).bit_length() - 1)
-    return (y & (y + 1)) == 0
-
-
-def _run_bounds(x: int) -> tuple[int, int]:
-    return (x & -x).bit_length() - 1, x.bit_length() - 1
-
-
-def _mask_hv_convex(mask: int, m: int, n: int) -> bool:
-    prev = None
-    for i in range(m):
-        col = _col_bits(mask, i, n)
-        if col == 0:
-            prev = None
-            continue
-        if not _is_run(col):
-            return False
-        run = _run_bounds(col)
-        if prev is not None and (run[0] > prev[1] + 1 or prev[0] > run[1] + 1):
-            return False
-        prev = run
-    prev = None
-    for j in range(n):
-        row = 0
-        for i in range(m):
-            row |= ((mask >> (i * n + j)) & 1) << i
-        if row == 0:
-            prev = None
-            continue
-        if not _is_run(row):
-            return False
-        run = _run_bounds(row)
-        if prev is not None and (run[0] > prev[1] + 1 or prev[0] > run[1] + 1):
-            return False
-        prev = run
-    return True
-
-
-def _mask_full_box(mask: int, m: int, n: int) -> bool:
-    row_any = 0
-    for i in range(m):
-        col = _col_bits(mask, i, n)
-        if col == 0:
-            return False
-        row_any |= col
-    return row_any == (1 << n) - 1
-
-
-def _mask_connected(mask: int, m: int, n: int) -> bool:
-    if mask == 0:
-        return False
-    full = (1 << (m * n)) - 1
-    top = 0
-    bot = 0
-    for i in range(m):
-        top |= 1 << (i * n + n - 1)
-        bot |= 1 << (i * n)
-    reach = mask & -mask
-    while True:
-        up = (reach & ~top) << 1
-        down = (reach & ~bot) >> 1
-        band = reach | up | down
-        grown = (band | (band << n) | (band >> n)) & full & mask
-        if grown == reach:
-            return grown == mask
-        reach = grown
-
-
-def _mask_to_cells(mask: int, m: int, n: int) -> np.ndarray:
-    arr = np.zeros((m, n), dtype=bool)
-    for i in range(m):
-        col = _col_bits(mask, i, n)
-        for j in range(n):
-            if (col >> j) & 1:
-                arr[i, j] = True
-    return arr
-
-
-# ---------------------------------------------------------------------------
 # feasible families, built once per grid shape
 #
 # A connected hv-convex set is a contiguous range of columns holding one

@@ -12,6 +12,7 @@ a bug in the fast incremental scoring cannot leak into results.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -24,7 +25,6 @@ from .conic import (
     _axis_eval,
     _axis_slope,
     _axis_values_and_weights,
-    _extrema_from_coeffs,
     _merged_points,
     _profile_coeffs,
     conic_of,
@@ -38,10 +38,6 @@ from .grid import (
     GridGeometry,
     GridSet,
     _family,
-    _mask_connected,
-    _mask_full_box,
-    _mask_hv_convex,
-    _mask_to_cells,
     _sample_with_rng,
     format_hvset,
     in_level_set,
@@ -148,6 +144,11 @@ def _pymin(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.where(b < a, b, a)
 
 
+# the scalar sup scorer remembers at most this many count vectors per axis
+# and starts its memo afresh when it is full
+_MEMO_CAP = 1 << 14
+
+
 class _SupScore:
     """Exact sup-norm objective from column/row counts alone.
 
@@ -160,6 +161,7 @@ class _SupScore:
     def __init__(self, target: ConicEvaluator, geometry: GridGeometry):
         box = geometry.box
         self._axes = []
+        self._scalar = []
         for lines, tprof, cell, lo, hi in (
             (geometry.xlines(), target.yprofile, geometry.cell_h, box.a, box.b),
             (geometry.ylines(), target.xprofile, geometry.cell_w, box.c, box.d),
@@ -175,27 +177,57 @@ class _SupScore:
             self._axes.append(
                 (lines, widths, cmids, cell, kidx, tA, tB, tC, los, his)
             )
+            # the same terms as Python floats, one tuple per merged interval;
+            # the last grid line can round short of the box side, so k = r
+            # marks an interval on the linear tail past it (l, l2 unused)
+            ki = np.clip(kidx, 0, len(widths) - 1)
+            segs = zip(kidx.tolist(), lines[ki].tolist(), (lines[ki] ** 2).tolist(),
+                       tA.tolist(), tB.tolist(), tC.tolist(), los.tolist(), his.tolist())
+            self._scalar.append((widths.tolist(), cmids.tolist(), float(cell), list(segs)))
         self._memo: tuple[dict, dict] = ({}, {})
 
-    def _axis(self, counts: np.ndarray, axk: int) -> tuple[float, float]:
-        key = counts.tobytes()
-        hit = self._memo[axk].get(key)
+    def _axis(self, counts, axk: int) -> tuple[float, float]:
+        """``(min, max)`` over the axis of the candidate's term minus the
+        target's, for one sequence of counts; the formulas of
+        ``_count_coeffs`` and ``_extrema_from_coeffs`` on Python floats."""
+        key = tuple(counts)
+        memo = self._memo[axk]
+        hit = memo.get(key)
         if hit is not None:
             return hit
-        lines, widths, cmids, cell, kidx, tA, tB, tC, los, his = self._axes[axk]
-        vals = counts * cell
-        mass = np.concatenate([[0.0], np.cumsum(vals * widths)])
-        moment = np.concatenate([[0.0], np.cumsum(vals * widths * cmids)])
+        widths, cmids, cell, segs = self._scalar[axk]
+        vals = [c * cell for c in key]
+        vw = [v * w for v, w in zip(vals, widths)]
+        mass = [0.0, *itertools.accumulate(vw)]
+        moment = [0.0, *itertools.accumulate(x * c for x, c in zip(vw, cmids))]
         mtot, stot = mass[-1], moment[-1]
-        ki = kidx
-        A = vals[ki]
-        B = 2.0 * mass[ki] - 2.0 * vals[ki] * lines[ki] - mtot
-        C = vals[ki] * lines[ki] ** 2 - 2.0 * moment[ki] + stot
-        hit = _extrema_from_coeffs(A - tA, B - tB, C - tC, los, his)
-        self._memo[axk][key] = hit
+        r = len(vals)
+        at_lo, at_hi, vertex = [], [], []
+        for k, l, l2, tA, tB, tC, lo, hi in segs:
+            if k < r:
+                A = vals[k]
+                B = 2.0 * mass[k] - 2.0 * A * l - mtot
+                C = A * l2 - 2.0 * moment[k] + stot
+            else:
+                A, B, C = 0.0, mtot, -stot
+            dA, dB, dC = A - tA, B - tB, C - tC
+            at_lo.append((dA * lo + dB) * lo + dC)
+            at_hi.append((dA * hi + dB) * hi + dC)
+            if dA != 0.0:
+                tv = -dB / (2.0 * dA)
+                if tv > lo and tv < hi:
+                    vertex.append((dA * tv + dB) * tv + dC)
+        best_min = min(min(at_lo), min(at_hi))
+        best_max = max(max(at_lo), max(at_hi))
+        if vertex:
+            best_min = min(best_min, min(vertex))
+            best_max = max(best_max, max(vertex))
+        if len(memo) >= _MEMO_CAP:
+            memo.clear()
+        hit = memo[key] = (best_min, best_max)
         return hit
 
-    def __call__(self, col_counts: np.ndarray, row_counts: np.ndarray) -> float:
+    def __call__(self, col_counts, row_counts) -> float:
         umin, umax = self._axis(col_counts, 0)
         vmin, vmax = self._axis(row_counts, 1)
         return max(umax + vmax, -(umin + vmin))
@@ -366,33 +398,79 @@ def exhaustive(problem: ReconstructionProblem) -> ReconstructionResult:
     )
 
 
-def _mask_counts(mask: int, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    cells = _mask_to_cells(mask, m, n)
-    return cells.sum(axis=1).astype(np.int64), cells.sum(axis=0).astype(np.int64)
+def _touch(a: int, b: int) -> bool:
+    # whether the runs ``a`` and ``b`` overlap or meet at a corner
+    return (a | a << 1 | a >> 1) & b != 0
+
+
+def _line_ok(lines: list, k: int, new: int) -> bool:
+    """Whether line ``k`` of a feasible set, its cells given per line as
+    bits in ``lines``, may become ``new``: the occupied lines stay one
+    contiguous range, and line ``k`` stays empty or one run that touches
+    each occupied neighbour."""
+    prev = lines[k - 1] if k else 0
+    nxt = lines[k + 1] if k + 1 < len(lines) else 0
+    if not new:
+        # cells must stay on exactly one side: none left empties the set,
+        # both sides splits it
+        return bool(prev) != bool(nxt)
+    if new & (new + (new & -new)):
+        return False  # not one run
+    if not (prev or nxt):
+        return lines[k] != 0  # alone already, or a newly filled line off the set
+    return (not prev or _touch(new, prev)) and (not nxt or _touch(new, nxt))
+
+
+def _toggle_ok(cols: list, rows: list, i: int, j: int, full_box: bool) -> bool:
+    """Whether toggling cell ``(i, j)`` of a feasible set leaves one.
+
+    ``cols[i]`` holds the rows of column ``i`` as bits, ``rows[j]`` the
+    columns of row ``j``; only those two lines change.  The toggled set is
+    non-empty, hv-convex and connected exactly when both new lines pass
+    ``_line_ok``: hv-convexity involves only the changed lines and their
+    neighbours, and an hv-convex set whose occupied columns form one range
+    is connected (its column runs touch in turn).  A full box only loses a
+    projection by emptying a line.
+    """
+    col = cols[i] ^ (1 << j)
+    row = rows[j] ^ (1 << i)
+    if full_box and not (col and row):
+        return False
+    return _line_ok(cols, i, col) and _line_ok(rows, j, row)
+
+
+def _line_bits(cells: np.ndarray) -> list:
+    """Occupied positions of each line (row of ``cells``) as an int's bits."""
+    return [sum(1 << int(k) for k in np.flatnonzero(line)) for line in cells]
+
+
+def _bits_to_cells(cols: list, n: int) -> np.ndarray:
+    return np.array([[(c >> j) & 1 for j in range(n)] for c in cols], dtype=bool)
 
 
 def local_search(problem: ReconstructionProblem, params: AnnealingParams) -> ReconstructionResult:
     """Simulated annealing over feasible sets with single-cell toggles.
 
     Proposals toggling a uniformly random cell are rejected outright when
-    the toggled set leaves the feasible family; otherwise improving moves
-    are always taken and worsening ones with the Metropolis probability at
-    the geometrically cooled temperature.  One generator stream per chain
-    (``restarts + 1`` chains), all derived from the seed, so runs are
-    reproducible.  Stops early once the best objective reaches exact zero,
-    which no feasible set can beat.
+    the toggled set leaves the feasible family (``_toggle_ok``, a check of
+    the one column and one row the toggle changes); otherwise improving
+    moves are always taken and worsening ones with the Metropolis
+    probability at the geometrically cooled temperature.  One generator
+    stream per chain (``restarts + 1`` chains), all derived from the seed,
+    so runs are reproducible.  Stops early once the best objective reaches
+    exact zero, which no feasible set can beat.
     """
     g = problem.geometry
-    m, n = g.m, g.n
+    n = g.n
     full_box = problem.feasibility == FEAS_FULL
     scorer = _SupScore(problem.target, g) if problem.norm == NORM_SUP else None
 
-    def score(mask, cols, rows):
+    def score(cols, ccounts, rcounts):
         if scorer is not None:
-            return scorer(cols, rows)
-        return objective(GridSet(g, _mask_to_cells(mask, m, n)), problem)
+            return scorer(ccounts, rcounts)
+        return objective(GridSet(g, _bits_to_cells(cols, n)), problem)
 
-    best_mask = None
+    best_cols = None
     best_val = math.inf
     trace = []
     total_steps = 0
@@ -400,58 +478,53 @@ def local_search(problem: ReconstructionProblem, params: AnnealingParams) -> Rec
     for chain in range(chains):
         rng = np.random.default_rng([params.seed, chain])
         start = _sample_with_rng(g, rng, full_box)
-        mask = 0
-        for i, j in np.argwhere(start.cells):
-            mask |= 1 << (int(i) * n + int(j))
-        cols, rows = _mask_counts(mask, m, n)
-        cur = score(mask, cols, rows)
+        cols, rows = _line_bits(start.cells), _line_bits(start.cells.T)
+        ccounts = [c.bit_count() for c in cols]
+        rcounts = [r.bit_count() for r in rows]
+        cur = score(cols, ccounts, rcounts)
         if cur < best_val:
             best_val = cur
-            best_mask = mask
+            best_cols = list(cols)
             trace.append((total_steps, cur))
         if best_val == 0.0:
             break
 
-        toggles = rng.integers(0, m * n, size=params.steps)
-        coins = rng.random(params.steps)
+        toggles = rng.integers(0, g.m * n, size=params.steps).tolist()
+        coins = rng.random(params.steps).tolist()
         T = params.initial_temperature
         for s in range(params.steps):
             total_steps += 1
-            bit = int(toggles[s])
-            cand = mask ^ (1 << bit)
-            i, j = divmod(bit, n)
-            ok = (
-                cand != 0
-                and _mask_hv_convex(cand, m, n)
-                and _mask_connected(cand, m, n)
-                and (not full_box or _mask_full_box(cand, m, n))
-            )
-            if ok:
-                delta = 1 if (mask >> bit) & 1 == 0 else -1
-                cols[i] += delta
-                rows[j] += delta
-                val = score(cand, cols, rows)
+            i, j = divmod(toggles[s], n)
+            if _toggle_ok(cols, rows, i, j, full_box):
+                delta = -1 if (cols[i] >> j) & 1 else 1
+                cols[i] ^= 1 << j
+                rows[j] ^= 1 << i
+                ccounts[i] += delta
+                rcounts[j] += delta
+                val = score(cols, ccounts, rcounts)
                 accept = val <= cur or (
                     T > 0.0 and coins[s] < math.exp((cur - val) / T)
                 )
                 if accept:
-                    mask, cur = cand, val
+                    cur = val
                     if cur < best_val:
                         best_val = cur
-                        best_mask = mask
+                        best_cols = list(cols)
                         trace.append((total_steps, cur))
                         if best_val == 0.0:
                             break
                 else:
-                    cols[i] -= delta
-                    rows[j] -= delta
+                    cols[i] ^= 1 << j
+                    rows[j] ^= 1 << i
+                    ccounts[i] -= delta
+                    rcounts[j] -= delta
             T *= params.cooling
         if best_val == 0.0:
             break
 
-    if best_mask is None:
+    if best_cols is None:
         raise InvalidParameter("no sampled candidate has a finite objective")
-    best = GridSet(g, _mask_to_cells(best_mask, m, n))
+    best = GridSet(g, _bits_to_cells(best_cols, n))
     _check_feasible(best, problem)
     return ReconstructionResult(
         best=best,

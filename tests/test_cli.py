@@ -246,6 +246,22 @@ def test_reconstruct_oracle_l1_bytes_frozen(tmp_path, capsys, monkeypatch):
     )
 
 
+def test_reconstruct_box_past_last_grid_line(tmp_path, capsys, monkeypatch):
+    # on 0,0.9 the last grid line is 0.8999999999999999, so one merged
+    # interval lies on the candidates' linear tail
+    monkeypatch.chdir(tmp_path)
+    invoke(capsys, "gen", "--dims", "3x3", "--box", "0,0.9,0,0.9", "--seed", "2",
+           "--out", "gen.hvset")
+    (tmp_path / "p.json").write_text(
+        json.dumps({"target": {"hvset": "gen.hvset"}, "box": [0, 0.9, 0, 0.9],
+                    "dims": [3, 3], "budget": {"steps": 500}, "out_prefix": "rec"}),
+        encoding="utf-8",
+    )
+    code, out, err = invoke(capsys, "reconstruct", "p.json")
+    assert (code, err) == (0, "")
+    assert out.count("\n") == 1 and "objective" in json.loads(out)
+
+
 # ---------------------------------------------------------------------------
 # failure modes
 

@@ -6,12 +6,23 @@ import numpy as np
 import pytest
 
 import hvconic as hv
+from hvconic import reconstruct
 from hvconic.errors import FormatError, GeometryMismatch, InvalidParameter, TooLarge
-from hvconic.reconstruct import _check_feasible, _family_counts, _l1_brackets, _SupScore
+from hvconic.grid import _family
+from hvconic.reconstruct import (
+    _check_feasible,
+    _family_counts,
+    _l1_brackets,
+    _line_bits,
+    _SupScore,
+    _toggle_ok,
+)
 
 GEO22 = hv.GridGeometry(hv.Box(0.0, 2.0, 0.0, 2.0), 2, 2)
 GEO33 = hv.GridGeometry(hv.Box(0.0, 3.0, 0.0, 3.0), 3, 3)
 GEO44 = hv.GridGeometry(hv.Box(0.0, 4.0, 0.0, 4.0), 4, 4)
+# the last grid line of this box, 0.8999999999999999, falls short of 0.9
+GEO33_SHORT = hv.GridGeometry(hv.Box(0.0, 0.9, 0.0, 0.9), 3, 3)
 
 
 def problem_for(L, **kw):
@@ -238,7 +249,7 @@ def test_exhaustive_l1_trace_and_optima_frozen(prob, steps, trace, optima, obj):
     assert repr(res.objective) == repr(obj)
 
 
-@pytest.mark.parametrize("geo", [GEO33, GEO44])
+@pytest.mark.parametrize("geo", [GEO33, GEO44, GEO33_SHORT])
 @pytest.mark.parametrize("full", [False, True])
 def test_batch_scorer_matches_scalar_bitwise(geo, full):
     family = list(hv.enumerate_hv_connected(geo, require_full_box=full))
@@ -276,6 +287,49 @@ def test_batch_l1_brackets_match_l1_norm_diff_bitwise(geo, full):
         brackets = [hv.l1_norm_diff(E, target, geo.box, refine=refine) for E in fields]
         assert lower.tobytes() == np.array([b.lower for b in brackets]).tobytes()
         assert upper.tobytes() == np.array([b.upper for b in brackets]).tobytes()
+
+
+def test_sup_memo_is_bounded(monkeypatch):
+    monkeypatch.setattr(reconstruct, "_MEMO_CAP", 4)
+    geo = hv.GridGeometry(hv.Box(0.0, 5.0, 0.0, 5.0), 5, 5)
+    target = hv.conic_of(hv.sample_hv_convex(geo, 3))
+    scorer = _SupScore(target, geo)
+    for k in range(40):
+        L = hv.sample_hv_convex(geo, [59, k % 23])
+        cols, rows = L.col_counts().tolist(), L.row_counts().tolist()
+        assert repr(scorer(cols, rows)) == repr(_SupScore(target, geo)(cols, rows))
+        assert max(len(memo) for memo in scorer._memo) <= 4
+    # a memo that keeps starting over leaves the annealer's run unchanged
+    case = anneal_case((7, 7), (0, 7, 0, 7), 2, tdims=(11, 9))
+    small = hv.local_search(*case)
+    monkeypatch.setattr(reconstruct, "_MEMO_CAP", 1 << 14)
+    full = hv.local_search(*case)
+    assert (small.best, repr(small.trace), small.steps) == (full.best, repr(full.trace), full.steps)
+
+
+TOGGLE_SHAPES = sorted({(m, n) for m in range(1, 13) for n in range(1, 13) if m * n <= 12}
+                       | {(1, 16), (16, 1)})
+
+
+@pytest.mark.parametrize("m,n", TOGGLE_SHAPES)
+@pytest.mark.parametrize("full", [False, True])
+def test_toggle_check_matches_public_predicates(m, n, full):
+    # every single-cell toggle of every feasible set, judged by the
+    # reference predicates on the toggled set (the empty set is infeasible)
+    geo = hv.GridGeometry(hv.Box(0, m, 0, n), m, n)
+    verdict = {}
+    for cells in _family(m, n, full):
+        cols, rows = _line_bits(cells), _line_bits(cells.T)
+        for i in range(m):
+            for j in range(n):
+                toggled = cells.copy()
+                toggled[i, j] = not toggled[i, j]
+                key = toggled.tobytes()
+                if key not in verdict:
+                    L = hv.GridSet(geo, toggled)
+                    ok = not L.is_empty and hv.is_hv_convex(L) and hv.is_connected(L)
+                    verdict[key] = ok and (not full or hv.in_level_set(L, geo.box))
+                assert _toggle_ok(cols, rows, i, j, full) == verdict[key], (cells, i, j)
 
 
 def test_infeasible_result_raises_not_asserts():
@@ -343,6 +397,71 @@ def test_local_search_full_box_feasibility():
     prob = problem_for(L, feasibility="hv_connected_full_box")
     res = hv.local_search(prob, hv.AnnealingParams(steps=3000, seed=2))
     assert hv.in_level_set(res.best, GEO44.box)
+
+
+BOX_OFF = (-1.5, 2.0, 3.0, 7.5)
+
+
+def anneal_case(dims, box, seed, *, tdims=None, full=False, norm="sup", steps=1000):
+    # target drawn on ``tdims`` (default: the problem grid) of the same box
+    geo = hv.GridGeometry(hv.Box(*box), *dims)
+    T = hv.sample_hv_convex(hv.GridGeometry(geo.box, *(tdims or dims)), [61, seed],
+                            require_full_box=full)
+    feas = "hv_connected_full_box" if full else "hv_connected"
+    prob = hv.ReconstructionProblem(hv.conic_of(T), geo, norm=norm, feasibility=feas)
+    return prob, hv.AnnealingParams(steps=steps, restarts=1, seed=seed)
+
+
+@pytest.mark.parametrize(
+    "case,best,obj,steps,trace",
+    [
+        (anneal_case((7, 7), (0, 7, 0, 7), 1), 103349747712, 4.0, 2000,
+         [(0, 48.0), (16, 36.0), (18, 25.0), (80, 15.0), (97, 6.0), (358, 4.0)]),
+        (anneal_case((7, 7), (0, 7, 0, 7), 2, tdims=(11, 9)), 4501789474816,
+         9.730231609019496, 2000,
+         [(0, 60.6875828997041), (7, 54.52821140699928), (22, 47.52821140699928),
+          (32, 40.52821140699928), (40, 35.52821140699928), (43, 30.110396898275674),
+          (48, 27.110396898275674), (49, 23.110396898275674), (66, 22.110396898275674),
+          (109, 19.416812910247213), (198, 18.351277930823375), (250, 15.351277930823375),
+          (439, 13.351277930823375), (443, 12.3124171002959), (1265, 10.730231609019496),
+          (1773, 9.730231609019496)]),
+        (anneal_case((5, 8), (0, 5, 0, 8), 3, full=True), 962341897991, 12.0, 2000,
+         [(0, 31.0), (32, 29.0), (61, 27.0), (285, 25.0), (297, 23.0), (807, 21.0),
+          (870, 20.0), (1533, 17.0), (1756, 13.0), (1998, 12.0)]),
+        (anneal_case((9, 4), BOX_OFF, 4, full=True), 4581302033, 1.020833333333333, 2000,
+         [(0, 22.977864583333343), (7, 20.489583333333343), (14, 20.337673611111114),
+          (33, 17.67925347222222), (45, 16.837673611111118), (97, 16.819444444444436),
+          (104, 15.825954861111104), (276, 14.285590277777771), (278, 13.292100694444438),
+          (290, 12.128472222222214), (343, 10.955729166666659), (466, 10.311631944444438),
+          (624, 10.141493055555548), (657, 9.989583333333325), (660, 8.467447916666659),
+          (694, 7.161024305555559), (701, 5.31684027777778), (1152, 5.03125),
+          (1356, 4.815538194444451), (1363, 3.8038194444444446), (1666, 3.500000000000001),
+          (1677, 2.506510416666666), (1696, 1.020833333333333)]),
+        (anneal_case((1, 6), (0, 1, 0, 6), 5, steps=300), 60, 0.0, 12,
+         [(0, 13.0), (4, 9.0), (7, 7.0), (11, 4.0), (12, 0.0)]),
+        (anneal_case((6, 1), (0, 6, 0, 1), 6, steps=300), 1, 0.0, 150,
+         [(0, 11.0), (2, 8.0), (3, 4.0), (100, 3.0), (133, 2.0), (146, 1.0), (150, 0.0)]),
+        (anneal_case((2, 2), (0, 2, 0, 2), 7, tdims=(3, 3), steps=300), 1,
+         0.5185185185185186, 600,
+         [(0, 2.111111111111111), (13, 1.1111111111111112), (49, 0.5185185185185186)]),
+        (anneal_case((4, 4), (0, 4, 0, 4), 10, tdims=(5, 4), norm="l1", steps=400), 1088,
+         12.251656249999993, 800,
+         [(0, 81.8793125), (3, 45.53465625), (17, 25.102109375000012),
+          (64, 19.589562500000017), (636, 18.12399999999999), (645, 12.251656249999993)]),
+        (anneal_case((3, 5), BOX_OFF, 9, tdims=(5, 7), full=True, norm="l1", steps=120), 17382,
+         26.629538537946452, 240,
+         [(0, 176.813005580357), (5, 133.1319040178569), (11, 84.64379665178568),
+          (23, 40.580232806919696), (41, 26.629538537946452)]),
+    ],
+)
+def test_local_search_trajectory_frozen(case, best, obj, steps, trace):
+    # frozen from the annealer that rescanned the whole bitmask per proposal
+    # and scored with numpy; repr pins the types and the sign of zero
+    res = hv.local_search(*case)
+    assert key(res.best) == best
+    assert repr(res.objective) == repr(obj)
+    assert res.steps == steps
+    assert repr(res.trace) == repr(trace)
 
 
 def test_objective_zero_means_equal_xrays():
