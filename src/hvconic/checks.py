@@ -268,8 +268,8 @@ def check_dilation_bound(L: GridSet, eps: float, refine: int = 8) -> CheckReport
     only known inside a raster bracket, so the measured excess enters at
     its upper end and the bracket width is reported.
     """
-    if eps <= 0:
-        raise PreconditionViolated("eps must be positive")
+    if not (math.isfinite(eps) and eps > 0):
+        raise PreconditionViolated("eps must be finite and positive")
     if not (is_hv_convex(L) and is_connected(L)):
         raise PreconditionViolated("set must be hv-convex and connected")
     k = L.bounding_box().perimeter()
@@ -386,8 +386,8 @@ def check_polyline_bound(P: Polyline, eps: float, refine: int = 64) -> CheckRepo
     The tube area is known only inside a raster bracket; its upper end is
     compared and the bracket width reported.
     """
-    if eps <= 0:
-        raise PreconditionViolated("eps must be positive")
+    if not (math.isfinite(eps) and eps > 0):
+        raise PreconditionViolated("eps must be finite and positive")
     tube = tube_area(P, eps, refine=refine)
     length = P.length
     bound = 2.0 * length * eps + (0.0 if P.closed else math.pi * eps * eps)

@@ -24,14 +24,6 @@ class EmptySet(ConicError, ValueError):
     """An operation that needs at least one occupied cell got none."""
 
 
-class NonConvexColumn(ConicError, ValueError):
-    """A column has a gap, so no bound-function pair describes it."""
-
-    def __init__(self, column: int, message: str | None = None):
-        self.column = column
-        super().__init__(message or f"column {column} is not a contiguous run")
-
-
 class CoverageError(ConicError, ValueError):
     """A covering grid does not contain the set it is asked to cover."""
 

@@ -29,7 +29,6 @@ from .errors import (
     FormatError,
     GeometryMismatch,
     InvalidParameter,
-    NonConvexColumn,
     TooLarge,
 )
 
@@ -37,7 +36,6 @@ __all__ = [
     "Box",
     "GridGeometry",
     "GridSet",
-    "ColumnProfile",
     "projections",
     "in_level_set",
     "in_sublevel_set",
@@ -46,7 +44,6 @@ __all__ = [
     "has_contiguous_runs",
     "thin_contact",
     "subset_of",
-    "bound_functions",
     "combine",
     "dilate",
     "min_cover",
@@ -208,6 +205,28 @@ class GridSet:
         y0 = g.box.c + idx[:, 1] * g.cell_h
         return np.column_stack([x0, x0 + g.cell_w, y0, y0 + g.cell_h])
 
+    def run_rects(self) -> np.ndarray:
+        """``(k, 4)`` array ``[x0, x1, y0, y1]``, one per maximal run of
+        occupied cells in a column, in scan order.
+
+        Each bound is computed by the same expression as in :meth:`rects`
+        for the run's end cell, so the rectangle is the union of its cells.
+        """
+        if self.is_empty:
+            raise EmptySet("no occupied cells")
+        g = self.geometry
+        c = self.cells
+        first = c.copy()
+        first[:, 1:] &= ~c[:, :-1]
+        last = c.copy()
+        last[:, :-1] &= ~c[:, 1:]
+        cols, lo = np.nonzero(first)
+        hi = np.nonzero(last)[1]
+        x0 = g.box.a + cols * g.cell_w
+        y0 = g.box.c + lo * g.cell_h
+        y1 = (g.box.c + hi * g.cell_h) + g.cell_h
+        return np.column_stack([x0, x0 + g.cell_w, y0, y1])
+
     def bounding_box(self) -> Box:
         """Tight axis-parallel bounding box of the occupied cells."""
         if self.is_empty:
@@ -238,29 +257,6 @@ class GridSet:
     def __repr__(self) -> str:
         g = self.geometry
         return f"GridSet({g.m}x{g.n} on {g.box.as_tuple()}, {self.count} cells)"
-
-
-@dataclass(frozen=True)
-class ColumnProfile:
-    """Lower and upper bound values per occupied column.
-
-    ``lower[k]``/``upper[k]`` are the y coordinates of the bottom and top of
-    the contiguous cell run in column ``columns[k]``; ``row_lo``/``row_hi``
-    are the matching integer bounds (``row_hi`` exclusive).
-    """
-
-    geometry: GridGeometry
-    columns: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-    row_lo: np.ndarray
-    row_hi: np.ndarray
-
-    def to_grid_set(self) -> GridSet:
-        arr = np.zeros((self.geometry.m, self.geometry.n), dtype=bool)
-        for i, lo, hi in zip(self.columns, self.row_lo, self.row_hi):
-            arr[i, lo:hi] = True
-        return GridSet(self.geometry, arr)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +291,15 @@ def projections(L: GridSet) -> tuple[list[tuple[float, float]], list[tuple[float
 
 
 def in_level_set(L: GridSet, box: Box) -> bool:
-    """True when both projections of ``L`` equal the full sides of ``box``."""
+    """True when both projections of ``L`` equal the full sides of ``box``.
+
+    On ``L``'s own box every column and every row must be occupied; floats
+    are not compared, because ``a + m * cell_w`` can round short of ``b``.
+    """
+    if L.is_empty:
+        raise EmptySet("empty set has no projections")
+    if box == L.geometry.box:
+        return bool(L.cells.any(axis=1).all() and L.cells.any(axis=0).all())
     pr1, pr2 = projections(L)
     return pr1 == [(box.a, box.b)] and pr2 == [(box.c, box.d)]
 
@@ -429,43 +433,6 @@ def _overlap_matrix(lines_a: np.ndarray, lines_b: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# bound functions
-
-
-def bound_functions(L: GridSet) -> ColumnProfile:
-    """Bottom and top bound values of every occupied column.
-
-    Raises :class:`NonConvexColumn` when a column has a gap, because a
-    single pair of bounds cannot describe it.
-    """
-    if L.is_empty:
-        raise EmptySet("empty set has no bound functions")
-    g = L.geometry
-    cols, los, his = [], [], []
-    for i in range(g.m):
-        idx = np.flatnonzero(L.cells[i])
-        if idx.size == 0:
-            continue
-        lo, hi = int(idx[0]), int(idx[-1]) + 1
-        if hi - lo != idx.size:
-            raise NonConvexColumn(i)
-        cols.append(i)
-        los.append(lo)
-        his.append(hi)
-    cols = np.array(cols, dtype=np.int64)
-    row_lo = np.array(los, dtype=np.int64)
-    row_hi = np.array(his, dtype=np.int64)
-    return ColumnProfile(
-        geometry=g,
-        columns=cols,
-        lower=g.box.c + row_lo * g.cell_h,
-        upper=g.box.c + row_hi * g.cell_h,
-        row_lo=row_lo,
-        row_hi=row_hi,
-    )
-
-
-# ---------------------------------------------------------------------------
 # convex combination
 
 
@@ -517,17 +484,49 @@ def combine(L1: GridSet, L2: GridSet, t) -> GridSet:
 # dilation
 
 
+def _rect_dist(rect, px, py):
+    """Exact Euclidean distance from points to the closed rectangle
+    ``rect = (x0, x1, y0, y1)``; all arguments broadcast."""
+    x0, x1, y0, y1 = rect
+    dx = np.maximum(np.maximum(x0 - px, px - x1), 0.0)
+    dy = np.maximum(np.maximum(y0 - py, py - y1), 0.0)
+    return np.hypot(dx, dy)
+
+
 def _min_dist_to_rects(points: np.ndarray, rects: np.ndarray, chunk: int = 1 << 18) -> np.ndarray:
     """Exact Euclidean distance from each point to a union of closed rectangles."""
     out = np.empty(len(points))
-    x0, x1, y0, y1 = rects[:, 0], rects[:, 1], rects[:, 2], rects[:, 3]
+    cols = rects.T[:, None, :]
     step = max(1, chunk // max(1, len(rects)))
     for s in range(0, len(points), step):
         px = points[s : s + step, 0][:, None]
         py = points[s : s + step, 1][:, None]
-        dx = np.maximum(np.maximum(x0[None, :] - px, px - x1[None, :]), 0.0)
-        dy = np.maximum(np.maximum(y0[None, :] - py, py - y1[None, :]), 0.0)
-        out[s : s + step] = np.hypot(dx, dy).min(axis=1)
+        out[s : s + step] = _rect_dist(cols, px, py).min(axis=1)
+    return out
+
+
+def _band_raster(cx, cy, reach, prims, xlo, xhi, yext, dist) -> np.ndarray:
+    """Least distance from the raster centres ``(cx[i], cy[j])`` to the
+    primitives ``prims``, exact wherever it is below ``reach`` (less a
+    rounding margin) and larger or ``inf`` elsewhere.
+
+    Primitive ``p = prims[k]`` is measured only on its band: the columns
+    within ``reach`` of its x-extent ``[xlo[k], xhi[k]]`` and, in each, the
+    rows within ``reach`` of its y-extent ``yext(p, xa, xb)`` over the
+    column's window ``[x - reach, x + reach]``.  ``dist(p, px, py)`` is its
+    exact distance from points.
+    """
+    out = np.full((len(cx), len(cy)), np.inf)
+    i0s = np.searchsorted(cx, xlo - reach)
+    i1s = np.searchsorted(cx, xhi + reach, side="right")
+    for p, i0, i1 in zip(prims, i0s, i1s):
+        x = cx[i0:i1]
+        ylo, yhi = yext(p, x - reach, x + reach)
+        jlo = np.broadcast_to(np.searchsorted(cy, ylo - reach), x.shape)
+        lens = np.searchsorted(cy, yhi + reach, side="right") - jlo
+        ii = np.repeat(np.arange(i0, i1), lens)
+        jj = np.arange(len(ii)) + np.repeat(jlo - (np.cumsum(lens) - lens), lens)
+        out[ii, jj] = np.minimum(out[ii, jj], dist(p, cx[ii], cy[jj]))
     return out
 
 
@@ -542,10 +541,12 @@ def dilate(L: GridSet, eps: float, refine: int = 4) -> tuple[GridSet, GridSet]:
 
         inner  is a subset of  the eps-neighbourhood  is a subset of  outer
 
-    and the two areas bracket its measure.  ``inner`` may be empty.
+    and the two areas bracket its measure.  ``inner`` may be empty.  Each
+    column run of ``L`` is one rectangle, measured on the centres within
+    ``eps + delta`` of it, plus one refined cell of slack.
     """
-    if eps <= 0:
-        raise InvalidParameter(f"dilation radius must be positive, got {eps}")
+    if not (math.isfinite(eps) and eps > 0):
+        raise InvalidParameter(f"dilation radius must be finite and positive, got {eps}")
     if refine < 1 or int(refine) != refine:
         raise InvalidParameter(f"refine must be a positive integer, got {refine}")
     if L.is_empty:
@@ -566,8 +567,9 @@ def dilate(L: GridSet, eps: float, refine: int = 4) -> tuple[GridSet, GridSet]:
     )
     cx = g.box.a + (np.arange(mm) - kx + 0.5) * wr
     cy = g.box.c + (np.arange(nn) - ky + 0.5) * hr
-    pts = np.column_stack([np.repeat(cx, nn), np.tile(cy, mm)])
-    dist = _min_dist_to_rects(pts, L.rects()).reshape(mm, nn)
+    rects = L.run_rects()
+    dist = _band_raster(cx, cy, eps + delta + max(wr, hr), rects, rects[:, 0], rects[:, 1],
+                        lambda r, xa, xb: (r[2], r[3]), _rect_dist)
     inner = GridSet(out_geom, dist <= eps - delta)
     outer = GridSet(out_geom, dist <= eps + delta)
     return inner, outer

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySet, FormatError, InvalidParameter, NonSimpleChain
-from .grid import GridSet, _min_dist_to_rects, subset_of
+from .grid import GridSet, _band_raster, _min_dist_to_rects, subset_of
 
 __all__ = [
     "Bracket",
@@ -74,10 +74,8 @@ def _directed_bracket(K: GridSet, L: GridSet, s: int) -> Bracket:
     rects = K.rects()
     xs = rects[:, 0][:, None] + frac[None, :] * g.cell_w  # (k, s)
     ys = rects[:, 2][:, None] + frac[None, :] * g.cell_h
-    px = np.repeat(xs, s, axis=1).ravel()
-    py = np.tile(ys, (1, s)).ravel()
-    pts = np.column_stack([px, py])
-    worst = float(_min_dist_to_rects(pts, L.rects()).max())
+    pts = np.column_stack([np.repeat(xs, s, axis=1).ravel(), np.tile(ys, (1, s)).ravel()])
+    worst = float(_min_dist_to_rects(pts, L.run_rects()).max())
     halfdiag = 0.5 * math.hypot(g.cell_w / (s - 1), g.cell_h / (s - 1))
     return Bracket(worst, worst + halfdiag)
 
@@ -148,6 +146,8 @@ class Polyline:
 
     def __init__(self, vertices, closed: bool = False):
         verts = tuple((float(x), float(y)) for x, y in vertices)
+        if not all(math.isfinite(c) for v in verts for c in v):
+            raise InvalidParameter("chain vertices must be finite")
         if len(verts) < 2:
             raise InvalidParameter("a chain needs at least two vertices")
         object.__setattr__(self, "vertices", verts)
@@ -209,22 +209,26 @@ class Polyline:
         return f"Polyline({len(self.vertices)} vertices, {kind})"
 
 
-def _min_dist_to_segments(points: np.ndarray, segs: np.ndarray, chunk: int = 1 << 18) -> np.ndarray:
-    out = np.empty(len(points))
-    ax, ay, bx, by = segs[:, 0], segs[:, 1], segs[:, 2], segs[:, 3]
+def _segment_dist(seg, px, py):
+    """Exact Euclidean distance from points to the segment ``(ax, ay, bx, by)``."""
+    ax, ay, bx, by = seg
     ux = bx - ax
     uy = by - ay
     uu = ux * ux + uy * uy
-    step = max(1, chunk // max(1, len(segs)))
-    for s in range(0, len(points), step):
-        px = points[s : s + step, 0][:, None]
-        py = points[s : s + step, 1][:, None]
-        t = ((px - ax) * ux + (py - ay) * uy) / uu
-        t = np.clip(t, 0.0, 1.0)
-        dx = px - (ax + t * ux)
-        dy = py - (ay + t * uy)
-        out[s : s + step] = np.hypot(dx, dy).min(axis=1)
-    return out
+    t = ((px - ax) * ux + (py - ay) * uy) / uu
+    t = np.clip(t, 0.0, 1.0)
+    dx = px - (ax + t * ux)
+    dy = py - (ay + t * uy)
+    return np.hypot(dx, dy)
+
+
+def _segment_yext(seg, xa, xb):
+    """y-extent of the segment over the x-windows ``[xa, xb]`` it meets."""
+    ax, ay, bx, by = seg
+    if ax == bx:
+        return min(ay, by), max(ay, by)
+    ya, yb = (ay + np.clip((x - ax) / (bx - ax), 0.0, 1.0) * (by - ay) for x in (xa, xb))
+    return np.minimum(ya, yb), np.maximum(ya, yb)
 
 
 def tube_area(P: Polyline, eps: float, refine: int = 32) -> Bracket:
@@ -232,17 +236,17 @@ def tube_area(P: Polyline, eps: float, refine: int = 32) -> Bracket:
 
     Rasterized on a square grid of side ``eps / refine``; cell centres are
     classified by exact point-to-segment distance with the half-diagonal
-    Lipschitz margin, exactly as in set dilation.
+    Lipschitz margin, exactly as in set dilation, and each segment is
+    measured only on the band of centres within ``eps + delta`` (plus one
+    raster cell of slack) of it.
     """
-    if eps <= 0:
-        raise InvalidParameter(f"tube radius must be positive, got {eps}")
+    if not (math.isfinite(eps) and eps > 0):
+        raise InvalidParameter(f"tube radius must be finite and positive, got {eps}")
     if refine < 1 or int(refine) != refine:
         raise InvalidParameter(f"refine must be a positive integer, got {refine}")
-    segs = P.segments()
     c = eps / refine
     delta = 0.5 * math.sqrt(2.0) * c
-    xs = np.array([v[0] for v in P.vertices])
-    ys = np.array([v[1] for v in P.vertices])
+    xs, ys = np.array(P.vertices).T
     margin = eps + delta + 2 * c
     x0 = xs.min() - margin
     y0 = ys.min() - margin
@@ -250,8 +254,9 @@ def tube_area(P: Polyline, eps: float, refine: int = 32) -> Bracket:
     nn = int(math.ceil((ys.max() + margin - y0) / c)) + 1
     cx = x0 + (np.arange(mm) + 0.5) * c
     cy = y0 + (np.arange(nn) + 0.5) * c
-    pts = np.column_stack([np.repeat(cx, nn), np.tile(cy, mm)])
-    dist = _min_dist_to_segments(pts, segs)
+    segs = P.segments()
+    dist = _band_raster(cx, cy, eps + delta + c, segs, np.minimum(segs[:, 0], segs[:, 2]),
+                        np.maximum(segs[:, 0], segs[:, 2]), _segment_yext, _segment_dist)
     n_in = int((dist <= eps - delta).sum())
     n_out = int((dist <= eps + delta).sum())
     return Bracket(n_in * c * c, n_out * c * c)
@@ -365,7 +370,10 @@ def parse_polyline(text: str) -> Polyline:
         if len(parts) != 2:
             raise FormatError("expected 'x y'", line=3 + k)
         try:
-            verts.append((float(parts[0]), float(parts[1])))
+            x, y = float(parts[0]), float(parts[1])
         except ValueError:
             raise FormatError("bad coordinate", line=3 + k) from None
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise FormatError("coordinates must be finite", line=3 + k)
+        verts.append((x, y))
     return Polyline(verts, closed=closed)

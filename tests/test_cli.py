@@ -262,6 +262,29 @@ def test_reconstruct_box_past_last_grid_line(tmp_path, capsys, monkeypatch):
     assert out.count("\n") == 1 and "objective" in json.loads(out)
 
 
+def test_full_box_on_box_past_last_grid_line(tmp_path, capsys, monkeypatch):
+    # full-box membership on 0,0.9 is decided on indices, so neither engine
+    # rejects its own result and the checkers accept full-box pairs
+    monkeypatch.chdir(tmp_path)
+    invoke(capsys, "gen", "--dims", "3x3", "--box", "0,0.9,0,0.9", "--full-box", "--seed", "4",
+           "--out", "gen.hvset")
+    (tmp_path / "p.json").write_text(
+        json.dumps({"target": {"hvset": "gen.hvset"}, "box": [0, 0.9, 0, 0.9], "dims": [3, 3],
+                    "feasibility": "hv_connected_full_box", "seed": 11,
+                    "budget": {"steps": 2000}, "out_prefix": "rec"}),
+        encoding="utf-8",
+    )
+    for extra in ([], ["--oracle"]):
+        code, out, err = invoke(capsys, "reconstruct", "p.json", *extra)
+        assert (code, err) == (0, "") and json.loads(out)["objective"] == 0.0
+        best = hv.parse_hvset((tmp_path / "rec.hvset").read_text(encoding="utf-8"))
+        assert hv.in_level_set(best, best.geometry.box)
+    for mode in ("concavity", "superadd"):
+        code, out, err = invoke(capsys, "verify", mode, "--box", "0,0.9,0,0.9", "--dims", "3x3",
+                                "--seeds", "3")
+        assert (code, err) == (0, "") and out.count("\n") == 3
+
+
 # ---------------------------------------------------------------------------
 # failure modes
 
@@ -315,6 +338,14 @@ def test_negative_seed_is_invalid_parameter(capsys, argv):
     code, out, err = invoke(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("ERROR InvalidParameter:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("mode", ["dilation", "polyline"])
+@pytest.mark.parametrize("eps", ["nan", "inf", "-inf"])
+def test_non_finite_eps_is_one_error_line(capsys, mode, eps):
+    code, out, err = invoke(capsys, "verify", mode, "--seeds", "1", f"--eps={eps}")
+    assert code == 1 and out == ""
+    assert err.startswith("ERROR PreconditionViolated:") and err.count("\n") == 1
 
 
 def test_huge_dims_hvset_is_format_error(tmp_path, capsys):

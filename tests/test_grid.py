@@ -20,7 +20,6 @@ from hvconic.errors import (
     FormatError,
     GeometryMismatch,
     InvalidParameter,
-    NonConvexColumn,
     TooLarge,
 )
 from hvconic.grid import _family
@@ -174,6 +173,17 @@ def test_projections_and_membership():
     assert hv.in_level_set(hv.GridSet.full(GEO44), GEO44.box)
 
 
+def test_level_set_on_a_box_that_rounds():
+    # on [0, 0.9] the last grid line a + 3 * cell_w is 0.8999999999999999:
+    # the set's own box is decided on indices, a foreign box on floats
+    geo = hv.GridGeometry(hv.Box(0.0, 0.9, 0.0, 0.9), 3, 3)
+    full = hv.GridSet.full(geo)
+    assert geo.xline(3) < 0.9 and hv.in_level_set(full, geo.box)
+    assert not hv.in_level_set(hv.GridSet.from_cells(geo, [(0, 0), (1, 1), (2, 1)]), geo.box)
+    assert hv.in_level_set(full, hv.Box(0.0, geo.xline(3), 0.0, geo.yline(3)))
+    assert not hv.in_level_set(full, hv.Box(0.0, 1.0, 0.0, 0.9))
+
+
 def test_thin_contact_detection():
     geo = hv.GridGeometry(hv.Box(0, 2, 0, 2), 2, 2)
     diag = hv.GridSet.from_cells(geo, [(0, 0), (1, 1)])
@@ -190,16 +200,6 @@ def test_subset_of_cross_geometry():
     assert hv.subset_of(L, refined) and hv.subset_of(refined, L)
     bigger = hv.GridSet.from_cells(GEO44, [(1, 1), (2, 1), (2, 2)])
     assert hv.subset_of(L, bigger) and not hv.subset_of(bigger, L)
-
-
-def test_bound_functions_profile():
-    L = hv.GridSet.from_cells(GEO44, [(0, 1), (1, 0), (1, 1), (1, 2), (2, 1)])
-    prof = hv.bound_functions(L)
-    assert prof.to_grid_set() == L
-    gap = hv.GridSet.from_cells(GEO44, [(1, 0), (1, 2)])
-    with pytest.raises(NonConvexColumn) as err:
-        hv.bound_functions(gap)
-    assert err.value.column == 1
 
 
 # ---------------------------------------------------------------------------
@@ -333,8 +333,9 @@ def test_dilate_bracket_invariants():
 
 
 def test_dilate_rejects_bad_eps():
-    with pytest.raises(InvalidParameter):
-        hv.dilate(hv.GridSet.full(GEO44), 0.0)
+    for eps in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(InvalidParameter):
+            hv.dilate(hv.GridSet.full(GEO44), eps)
 
 
 # ---------------------------------------------------------------------------
@@ -422,6 +423,18 @@ def test_family_matches_numpy_predicates(m, n):
                 expect[True].append(L)
     for full in (False, True):
         assert list(hv.enumerate_hv_connected(geo, require_full_box=full)) == expect[full]
+
+
+@pytest.mark.parametrize("m,n", SHAPES_UP_TO_12)
+def test_level_set_index_rule_equals_float_rule(m, n):
+    # on boxes whose grid lines are exact, "every column and row occupied"
+    # agrees with comparing the float projections to the box sides
+    for box in (hv.Box(0, m, 0, n), hv.Box(-2.0, -2.0 + 0.5 * m, 1.0, 1.0 + 0.25 * n)):
+        geo = hv.GridGeometry(box, m, n)
+        for cells in _family(m, n, False):
+            L = hv.GridSet(geo, cells)
+            floats = hv.projections(L) == ([(box.a, box.b)], [(box.c, box.d)])
+            assert hv.in_level_set(L, box) == floats
 
 
 def test_family_cache_is_read_only():

@@ -109,6 +109,9 @@ def test_polyline_basic():
     assert Q.segments().shape == (4, 4)
     with pytest.raises(InvalidParameter):
         hv.Polyline([(0, 0)])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidParameter):
+            hv.Polyline([(0, 0), (1, bad)])
 
 
 def test_polyline_rejects_non_simple():
@@ -161,8 +164,9 @@ def test_tube_closed_square_frozen():
 
 def test_tube_rejects_bad_parameters():
     seg = hv.Polyline([(0, 0), (1, 0)])
-    with pytest.raises(InvalidParameter):
-        hv.tube_area(seg, 0.0)
+    for eps in (0.0, math.nan, math.inf):
+        with pytest.raises(InvalidParameter):
+            hv.tube_area(seg, eps)
     with pytest.raises(InvalidParameter):
         hv.tube_area(seg, 0.5, refine=0)
 
@@ -227,6 +231,8 @@ def test_polyline_round_trip():
         ("POLYLINE v1\nclosed 2\n0 0\n1 0\n", 2),
         ("POLYLINE v1\nclosed 0\n0\n1 0\n", 3),
         ("POLYLINE v1\nclosed 0\n0 0\n1 zero\n", 4),
+        ("POLYLINE v1\nclosed 0\n0 0\nnan 1\n", 4),
+        ("POLYLINE v1\nclosed 0\n0 -inf\n1 0\n", 3),
     ],
 )
 def test_polyline_parse_errors(text, line):
