@@ -16,6 +16,7 @@ binary search plus a couple of multiplies.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
@@ -72,10 +73,7 @@ class XRayProfile:
         if not np.all(vals >= 0):
             raise InvalidParameter("plateau values must be non-negative")
         with np.errstate(over="ignore", invalid="ignore"):
-            widths = np.diff(bp)
-            mids = 0.5 * (bp[:-1] + bp[1:])
-            mass = np.concatenate([[0.0], np.cumsum(vals * widths)])
-            moment = np.concatenate([[0.0], np.cumsum(vals * widths * mids)])
+            mass, moment = _prefix(bp, vals)
         if not (np.isfinite(mass[-1]) and np.isfinite(moment).all()):
             raise InvalidParameter("profile mass or first moment overflows")
         for arr in (bp, vals, mass, moment):
@@ -129,43 +127,81 @@ class XRayProfile:
         )
 
 
-def _profile_coeffs(prof: XRayProfile, ts: np.ndarray):
+# ---------------------------------------------------------------------------
+# the axis-term kernel: every evaluation, norm and family scorer runs here,
+# on plateau values of any leading shape (one profile, or a stack of
+# profiles sharing their breakpoints)
+
+
+def _pymax(a, b):
+    # elementwise builtin max(a, b): keeps ``a`` on ties, so 0.0 and -0.0
+    # come out as the scalar scorer returns them (np.maximum may not)
+    return np.where(b > a, b, a)
+
+
+def _pymin(a, b):
+    return np.where(b < a, b, a)
+
+
+def _prefix(bp: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Prefix integrals of mass and first moment at the breakpoints."""
+    widths = np.diff(bp)
+    mids = 0.5 * (bp[:-1] + bp[1:])
+    mass = np.zeros(vals.shape[:-1] + bp.shape)
+    moment = np.zeros(vals.shape[:-1] + bp.shape)
+    np.cumsum(vals * widths, axis=-1, out=mass[..., 1:])
+    np.cumsum(vals * widths * mids, axis=-1, out=moment[..., 1:])
+    return mass, moment
+
+
+# profiles sharing one set of breakpoints, their plateau values stacked
+# along leading axes: the arrays of XRayProfile that the kernel reads
+_Stack = namedtuple("_Stack", "breakpoints values prefix_mass prefix_moment")
+
+
+def _at(a: np.ndarray, k: np.ndarray) -> np.ndarray:
+    # a[..., k] with k clamped to the last axis; a stack's result comes out
+    # column-major, so the reductions along its last axis run over
+    # contiguous columns
+    return a.T.take(k, axis=0, mode="clip").T
+
+
+def _coeffs(p, ts: np.ndarray):
     """Quadratic coefficients (A, B, C) of the absolute-moment integral.
 
     On the plateau containing each query point the map
     ``t -> integral of |t - s| * value(s) ds`` equals ``A t^2 + B t + C``.
     Queries left and right of the profile range fall on the linear tails.
+    ``p`` is an :class:`XRayProfile` or a ``_Stack``; the result has
+    the leading shape of its values plus one axis over ``ts``.
     """
-    bp, v = prof.breakpoints, prof.values
-    M, S = prof.prefix_mass, prof.prefix_moment
-    mtot, stot = M[-1], S[-1]
-    r = len(v)
+    bp, v = p.breakpoints, p.values
+    M, S = p.prefix_mass, p.prefix_moment
+    mtot, stot = M[..., -1:], S[..., -1:]
+    r = len(bp) - 1
+    # k = -1 and k = r mark the tails, whose clamped lookups are overwritten
     k = np.searchsorted(bp, ts, side="right") - 1
-    A = np.zeros(len(ts))
-    B = np.empty(len(ts))
-    C = np.empty(len(ts))
-    inside = (k >= 0) & (k < r)
-    ki = k[inside]
-    A[inside] = v[ki]
-    B[inside] = 2.0 * M[ki] - 2.0 * v[ki] * bp[ki] - mtot
-    C[inside] = v[ki] * bp[ki] ** 2 - 2.0 * S[ki] + stot
-    left = k < 0
-    B[left] = -mtot
-    C[left] = stot
-    right = k >= r
-    B[right] = mtot
-    C[right] = -stot
+    line = bp.take(k, mode="clip")
+    A = _at(v, k)
+    B = 2.0 * _at(M, k) - 2.0 * A * line - mtot
+    C = A * line**2 - 2.0 * _at(S, k) + stot
+    left, right = k < 0, k >= r
+    np.copyto(A, 0.0, where=left | right)
+    np.copyto(B, -mtot, where=left)
+    np.copyto(C, stot, where=left)
+    np.copyto(B, mtot, where=right)
+    np.copyto(C, -stot, where=right)
     return A, B, C
 
 
-def _axis_eval(prof: XRayProfile, ts: np.ndarray) -> np.ndarray:
-    A, B, C = _profile_coeffs(prof, ts)
+def _value(coef, ts):
+    A, B, C = coef
     return (A * ts + B) * ts + C
 
 
-def _axis_slope(prof: XRayProfile, ts: np.ndarray) -> np.ndarray:
+def _slope(coef, ts):
     # derivative of the absolute-moment integral: mass below minus mass above
-    A, B, C = _profile_coeffs(prof, ts)
+    A, B, _ = coef
     return 2.0 * A * ts + B
 
 
@@ -194,19 +230,25 @@ class ConicEvaluator:
     def evaluate(self, x: float, y: float) -> float:
         xs = np.asarray([x], dtype=float)
         ys = np.asarray([y], dtype=float)
-        return float(_axis_eval(self.yprofile, xs)[0] + _axis_eval(self.xprofile, ys)[0])
+        u = _value(_coeffs(self.yprofile, xs), xs)
+        v = _value(_coeffs(self.xprofile, ys), ys)
+        return float(u[0] + v[0])
 
     def evaluate_grid(self, xs, ys) -> np.ndarray:
         """Field values on a product lattice, shape ``(len(xs), len(ys))``."""
-        u = _axis_eval(self.yprofile, np.asarray(xs, dtype=float))
-        v = _axis_eval(self.xprofile, np.asarray(ys, dtype=float))
+        xs = np.asarray(xs, dtype=float)
+        ys = np.asarray(ys, dtype=float)
+        u = _value(_coeffs(self.yprofile, xs), xs)
+        v = _value(_coeffs(self.xprofile, ys), ys)
         return u[:, None] + v[None, :]
 
     def gradient(self, x: float, y: float) -> tuple[float, float]:
         """One-sided right derivatives (the field is differentiable between
         breakpoints and the two sided limits agree everywhere anyway)."""
-        gx = _axis_slope(self.yprofile, np.asarray([x], dtype=float))[0]
-        gy = _axis_slope(self.xprofile, np.asarray([y], dtype=float))[0]
+        xs = np.asarray([x], dtype=float)
+        ys = np.asarray([y], dtype=float)
+        gx = _slope(_coeffs(self.yprofile, xs), xs)[0]
+        gy = _slope(_coeffs(self.xprofile, ys), ys)[0]
         return float(gx), float(gy)
 
     def weighted(self) -> "ConicEvaluator":
@@ -257,43 +299,102 @@ def xray_from_conic(E: ConicEvaluator) -> tuple[XRayProfile, XRayProfile]:
 # norms of field differences over a reference box
 
 
-def _merged_points(p1: XRayProfile, p2: XRayProfile, lo: float, hi: float) -> np.ndarray:
-    pts = np.concatenate([[lo, hi], p1.breakpoints, p2.breakpoints])
-    pts = np.unique(pts)
-    return pts[(pts >= lo) & (pts <= hi)]
+# the l1 quadrature sum runs over blocks of members holding at most this
+# many (member, x-point, y-point) products at once, 512 KiB a temporary
+# (a member with more points than that forms a block alone)
+_L1_BLOCK = 1 << 16
 
 
-def _extrema_from_coeffs(dA, dB, dC, los, his) -> tuple[float, float]:
-    """Min and max of per-interval quadratics: endpoints plus interior vertex."""
+class _FieldDiff:
+    """Fields on fixed breakpoints less a reference field, over a box: the
+    kernel of both norms.
 
-    def val(t):
-        return (dA * t + dB) * t + dC
+    ``xlines`` and ``ylines`` are the breakpoints of the fields' vertical
+    and horizontal profiles.  The methods take those profiles as an
+    :class:`XRayProfile` or as a ``_Stack`` from :meth:`stack`, so one
+    call scores one field or a whole family.  Each axis term of a
+    difference is a quadratic on every interval of the merged breakpoint
+    partition, which is built once here, with the reference's coefficients
+    at the interval midpoints: ``axes[k]`` holds ``(lines, reference
+    profile, partition, midpoints, (A, B, C))``.
+    """
 
-    cand_lo = val(los)
-    cand_hi = val(his)
-    best_max = max(cand_lo.max(), cand_hi.max())
-    best_min = min(cand_lo.min(), cand_hi.min())
-    nz = dA != 0.0
-    if nz.any():
-        tv = np.full_like(los, np.nan)
-        tv[nz] = -dB[nz] / (2.0 * dA[nz])
-        ok = nz & (tv > los) & (tv < his)
-        if ok.any():
-            to = tv[ok]
-            vv = (dA[ok] * to + dB[ok]) * to + dC[ok]
-            best_max = max(best_max, vv.max())
-            best_min = min(best_min, vv.min())
-    return float(best_min), float(best_max)
+    def __init__(self, xlines: np.ndarray, ylines: np.ndarray, ref: ConicEvaluator, box: Box):
+        self.axes = []
+        for lines, rprof, lo, hi in ((xlines, ref.yprofile, box.a, box.b),
+                                     (ylines, ref.xprofile, box.c, box.d)):
+            pts = np.unique(np.concatenate([[lo, hi], lines, rprof.breakpoints]))
+            pts = pts[(pts >= lo) & (pts <= hi)]
+            mids = 0.5 * (pts[:-1] + pts[1:])
+            self.axes.append((lines, rprof, pts, mids, _coeffs(rprof, mids)))
 
+    def stack(self, axk: int, vals: np.ndarray) -> _Stack:
+        """Profiles on axis ``axk``'s lines with plateau values ``vals``."""
+        lines = self.axes[axk][0]
+        return _Stack(lines, vals, *_prefix(lines, vals))
 
-def _axis_extrema(p1: XRayProfile, p2: XRayProfile, lo: float, hi: float) -> tuple[float, float]:
-    """Exact min and max of the difference of the two axis terms on [lo, hi]."""
-    pts = _merged_points(p1, p2, lo, hi)
-    los, his = pts[:-1], pts[1:]
-    mids = 0.5 * (los + his)
-    A1, B1, C1 = _profile_coeffs(p1, mids)
-    A2, B2, C2 = _profile_coeffs(p2, mids)
-    return _extrema_from_coeffs(A1 - A2, B1 - B2, C1 - C2, los, his)
+    def extrema(self, axk: int, p):
+        """Exact ``(min, max)`` over the box side of each field's axis term
+        less the reference's: interval endpoints plus interior vertices."""
+        _, _, pts, mids, (tA, tB, tC) = self.axes[axk]
+        A, B, C = _coeffs(p, mids)
+        d = (A - tA, B - tB, C - tC)
+        los, his = pts[:-1], pts[1:]
+        cand_lo = _value(d, los)
+        cand_hi = _value(d, his)
+        best_max = _pymax(cand_lo.max(axis=-1), cand_hi.max(axis=-1))
+        best_min = _pymin(cand_lo.min(axis=-1), cand_hi.min(axis=-1))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            # a linear piece puts its vertex at +-inf or nan, never inside
+            tv = -d[1] / (2.0 * d[0])
+            ok = (tv > los) & (tv < his)
+            if ok.any():
+                vv = _value(d, tv)
+                best_max = _pymax(best_max, np.where(ok, vv, -np.inf).max(axis=-1))
+                best_min = _pymin(best_min, np.where(ok, vv, np.inf).min(axis=-1))
+        return best_min, best_max
+
+    def l1_terms(self, axk: int, p, refine: int):
+        """Quadrature weights on the partition, each piece split ``refine``
+        times; each field's axis-term difference at the quadrature points;
+        and its bound on the slope difference, which is piecewise linear
+        and so extremal one-sided at the partition points."""
+        _, rprof, pts, mids, rcoef = self.axes[axk]
+        w = np.repeat(np.diff(pts), refine) / refine
+        qs = np.repeat(pts[:-1], refine) + (np.tile(np.arange(refine), len(pts) - 1) + 0.5) * w
+        diff = _value(_coeffs(p, qs), qs) - _value(_coeffs(rprof, qs), qs)
+        gap_pts = np.abs(_slope(_coeffs(p, pts), pts) - _slope(_coeffs(rprof, pts), pts))
+        gap_mids = np.abs(_slope(_coeffs(p, mids), mids) - _slope(rcoef, mids))
+        return w, diff, _pymax(gap_pts.max(axis=-1), gap_mids.max(axis=-1))
+
+    def l1(self, xp, yp, refine: int, cinv, rinv):
+        """``l1_norm_diff`` brackets ``(lower, upper)`` of the fields whose
+        profiles are rows ``cinv[k]`` of ``xp`` and ``rinv[k]`` of ``yp``
+        (a single profile is one row): composite midpoint quadrature plus
+        a Lipschitz error bound from the exact slope ranges of the two
+        separated terms."""
+        wx, du, lip_x = self.l1_terms(0, xp, refine)
+        wy, dv, lip_y = self.l1_terms(1, yp, refine)
+        du, lip_x = du.reshape(-1, len(wx)), np.reshape(lip_x, -1)
+        dv, lip_y = dv.reshape(-1, len(wy)), np.reshape(lip_y, -1)
+        weights = wx[:, None] * wy[None, :]
+        total = np.empty(len(cinv))
+        step = max(1, _L1_BLOCK // weights.size)
+        for s in range(0, len(cinv), step):
+            c, r = cinv[s : s + step], rinv[s : s + step]
+            block = du[c][:, :, None] + dv[r][:, None, :]
+            np.abs(block, out=block)
+            np.multiply(weights, block, out=block)
+            total[s : s + step] = block.reshape(len(c), -1).sum(axis=1)
+        ex = lip_x * float((wx**2).sum()) * float(wy.sum())
+        ey = lip_y * float((wy**2).sum()) * float(wx.sum())
+        err = 0.25 * (ex[cinv] + ey[rinv])
+        lower = _pymax(0.0, total - err)
+        upper = total + err
+        bad = np.flatnonzero(~(lower <= upper))
+        if bad.size:
+            raise InvalidParameter(f"bad bracket [{lower[bad[0]]}, {upper[bad[0]]}]")
+        return lower, upper
 
 
 def sup_norm_diff(E1: ConicEvaluator, E2: ConicEvaluator, box: Box) -> float:
@@ -304,30 +405,10 @@ def sup_norm_diff(E1: ConicEvaluator, E2: ConicEvaluator, box: Box) -> float:
     (max + max) and -(min + min), each found exactly on the piecewise
     quadratics (interval endpoints and interior vertices).
     """
-    umin, umax = _axis_extrema(E1.yprofile, E2.yprofile, box.a, box.b)
-    vmin, vmax = _axis_extrema(E1.xprofile, E2.xprofile, box.c, box.d)
-    return max(umax + vmax, -(umin + vmin))
-
-
-def _axis_values_and_weights(p1, p2, lo, hi, refine):
-    pts = _merged_points(p1, p2, lo, hi)
-    seg_lo = np.repeat(pts[:-1], refine)
-    seg_w = np.repeat(np.diff(pts), refine) / refine
-    offs = np.tile(np.arange(refine), len(pts) - 1)
-    mids = seg_lo + (offs + 0.5) * seg_w
-    vals = _axis_eval(p1, mids) - _axis_eval(p2, mids)
-    return mids, seg_w, vals, pts
-
-
-def _axis_slope_bound(p1, p2, pts) -> float:
-    s1 = _axis_slope(p1, pts)
-    s2 = _axis_slope(p2, pts)
-    # the slope difference is piecewise linear, so its extrema sit at the
-    # merged breakpoints; evaluate one-sided on both sides of each point
-    inner = 0.5 * (pts[:-1] + pts[1:])
-    s1i = _axis_slope(p1, inner)
-    s2i = _axis_slope(p2, inner)
-    return float(max(np.abs(s1 - s2).max(), np.abs(s1i - s2i).max()))
+    diff = _FieldDiff(E1.yprofile.breakpoints, E1.xprofile.breakpoints, E2, box)
+    umin, umax = diff.extrema(0, E1.yprofile)
+    vmin, vmax = diff.extrema(1, E1.xprofile)
+    return float(max(umax + vmax, -(umin + vmin)))
 
 
 def l1_norm_diff(E1: ConicEvaluator, E2: ConicEvaluator, box: Box, refine: int = 4) -> Bracket:
@@ -339,14 +420,10 @@ def l1_norm_diff(E1: ConicEvaluator, E2: ConicEvaluator, box: Box, refine: int =
     """
     if refine < 1 or int(refine) != refine:
         raise InvalidParameter(f"refine must be a positive integer, got {refine}")
-    xm, wx, du, ptsx = _axis_values_and_weights(E1.yprofile, E2.yprofile, box.a, box.b, refine)
-    ym, wy, dv, ptsy = _axis_values_and_weights(E1.xprofile, E2.xprofile, box.c, box.d, refine)
-    total = float((wx[:, None] * wy[None, :] * np.abs(du[:, None] + dv[None, :])).sum())
-    lip_x = _axis_slope_bound(E1.yprofile, E2.yprofile, ptsx)
-    lip_y = _axis_slope_bound(E1.xprofile, E2.xprofile, ptsy)
-    err = 0.25 * (lip_x * float((wx**2).sum()) * float(wy.sum())
-                  + lip_y * float((wy**2).sum()) * float(wx.sum()))
-    return Bracket(max(0.0, total - err), total + err)
+    diff = _FieldDiff(E1.yprofile.breakpoints, E1.xprofile.breakpoints, E2, box)
+    one = np.zeros(1, dtype=np.intp)
+    lower, upper = diff.l1(E1.yprofile, E1.xprofile, refine, one, one)
+    return Bracket(float(lower[0]), float(upper[0]))
 
 
 # ---------------------------------------------------------------------------

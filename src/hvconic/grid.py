@@ -305,10 +305,14 @@ def in_level_set(L: GridSet, box: Box) -> bool:
 
 
 def in_sublevel_set(L: GridSet, box: Box) -> bool:
-    """True when ``L`` (hence the product of its projections) lies inside ``box``."""
+    """True when ``L`` (hence the product of its projections) lies inside ``box``.
+
+    A set lies inside its own box; floats are compared only for another
+    box, because ``a + m * cell_w`` can round past ``b``.
+    """
     if L.is_empty:
         raise EmptySet("empty set has no projections")
-    return box.contains_box(L.bounding_box())
+    return box == L.geometry.box or box.contains_box(L.bounding_box())
 
 
 def _axis_sections_ok(lines: np.ndarray) -> bool:
@@ -505,6 +509,18 @@ def _min_dist_to_rects(points: np.ndarray, rects: np.ndarray, chunk: int = 1 << 
     return out
 
 
+# the most cells a dilation or tube raster may hold (128 MiB of distances)
+_RASTER_CELLS = 1 << 24
+
+
+def _check_raster(cols: float, rows: float) -> None:
+    """Raise ``TooLarge`` unless a ``cols`` by ``rows`` raster fits, its
+    sizes given as floats so that an overflow shows here as inf."""
+    cells = cols * rows
+    if not (math.isfinite(cells) and cells <= _RASTER_CELLS):
+        raise TooLarge(f"a {cols:.3g} x {rows:.3g} raster exceeds {_RASTER_CELLS} cells")
+
+
 def _band_raster(cx, cy, reach, prims, xlo, xhi, yext, dist) -> np.ndarray:
     """Least distance from the raster centres ``(cx[i], cy[j])`` to the
     primitives ``prims``, exact wherever it is below ``reach`` (less a
@@ -555,8 +571,10 @@ def dilate(L: GridSet, eps: float, refine: int = 4) -> tuple[GridSet, GridSet]:
     wr = g.cell_w / refine
     hr = g.cell_h / refine
     delta = 0.5 * math.hypot(wr, hr)
-    kx = math.ceil((eps + delta) / wr) + 1
-    ky = math.ceil((eps + delta) / hr) + 1
+    reach_x, reach_y = (eps + delta) / wr, (eps + delta) / hr
+    _check_raster(g.m * refine + 2 * reach_x + 4, g.n * refine + 2 * reach_y + 4)
+    kx = math.ceil(reach_x) + 1
+    ky = math.ceil(reach_y) + 1
     mm = g.m * refine + 2 * kx
     nn = g.n * refine + 2 * ky
     out_geom = GridGeometry(
@@ -588,7 +606,7 @@ def min_cover(L: GridSet, coarse: GridGeometry) -> GridSet:
     """
     if L.is_empty:
         raise EmptySet("cannot cover the empty set")
-    if not coarse.box.contains_box(L.bounding_box()):
+    if not in_sublevel_set(L, coarse.box):
         raise CoverageError(
             f"covering box {coarse.box.as_tuple()} does not contain the set"
         )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySet, FormatError, InvalidParameter, NonSimpleChain
-from .grid import GridSet, _band_raster, _min_dist_to_rects, subset_of
+from .grid import GridSet, _band_raster, _check_raster, _min_dist_to_rects, subset_of
 
 __all__ = [
     "Bracket",
@@ -248,10 +248,14 @@ def tube_area(P: Polyline, eps: float, refine: int = 32) -> Bracket:
     delta = 0.5 * math.sqrt(2.0) * c
     xs, ys = np.array(P.vertices).T
     margin = eps + delta + 2 * c
-    x0 = xs.min() - margin
-    y0 = ys.min() - margin
-    mm = int(math.ceil((xs.max() + margin - x0) / c)) + 1
-    nn = int(math.ceil((ys.max() + margin - y0) / c)) + 1
+    # Python floats, which overflow to inf without a warning
+    x0 = float(xs.min()) - margin
+    y0 = float(ys.min()) - margin
+    cols = (float(xs.max()) + margin - x0) / c
+    rows = (float(ys.max()) + margin - y0) / c
+    _check_raster(cols + 2, rows + 2)
+    mm = int(math.ceil(cols)) + 1
+    nn = int(math.ceil(rows)) + 1
     cx = x0 + (np.arange(mm) + 0.5) * c
     cy = y0 + (np.arange(nn) + 0.5) * c
     segs = P.segments()

@@ -21,12 +21,8 @@ import numpy as np
 
 from .conic import (
     ConicEvaluator,
-    XRayProfile,
-    _axis_eval,
-    _axis_slope,
-    _axis_values_and_weights,
-    _merged_points,
-    _profile_coeffs,
+    _FieldDiff,
+    _pymax,
     conic_of,
     l1_norm_diff,
     parse_profile_csv,
@@ -134,16 +130,6 @@ def objective(L: GridSet, problem: ReconstructionProblem) -> float:
     return l1_norm_diff(E, problem.target, box, refine=problem.l1_refine).upper
 
 
-def _pymax(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # elementwise builtin max(a, b): keeps ``a`` on ties, so 0.0 and -0.0
-    # come out as the scalar path returns them (np.maximum may not)
-    return np.where(b > a, b, a)
-
-
-def _pymin(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.where(b < a, b, a)
-
-
 # the scalar sup scorer remembers at most this many count vectors per axis
 # and starts its memo afresh when it is full
 _MEMO_CAP = 1 << 14
@@ -152,44 +138,42 @@ _MEMO_CAP = 1 << 14
 class _SupScore:
     """Exact sup-norm objective from column/row counts alone.
 
-    Precomputes the merged interval structure shared by every candidate on
-    the fixed grid (the candidate breakpoints are always the grid lines)
-    and mirrors the public evaluation formulas term for term, so its value
-    is bit-identical to ``objective`` on the same candidate.
+    The merged interval structure shared by every candidate on the fixed
+    grid (the candidate breakpoints are always the grid lines) comes from
+    the conic kernel ``_FieldDiff``, built once; ``axis_extrema`` scores a
+    stack of count vectors through it, and the scalar path mirrors its
+    formulas term for term, so both are bit-identical to ``objective`` on
+    the same candidate.
     """
 
     def __init__(self, target: ConicEvaluator, geometry: GridGeometry):
-        box = geometry.box
-        self._axes = []
+        self._kernel = _FieldDiff(geometry.xlines(), geometry.ylines(), target, geometry.box)
+        self._cells = (geometry.cell_h, geometry.cell_w)
         self._scalar = []
-        for lines, tprof, cell, lo, hi in (
-            (geometry.xlines(), target.yprofile, geometry.cell_h, box.a, box.b),
-            (geometry.ylines(), target.xprofile, geometry.cell_w, box.c, box.d),
-        ):
-            probe = XRayProfile(tprof.axis, lines, np.ones(len(lines) - 1))
-            pts = _merged_points(probe, tprof, lo, hi)
-            los, his = pts[:-1], pts[1:]
-            mids = 0.5 * (los + his)
-            tA, tB, tC = _profile_coeffs(tprof, mids)
-            kidx = np.searchsorted(lines, mids, side="right") - 1
+        for (lines, _, pts, mids, (tA, tB, tC)), cell in zip(self._kernel.axes, self._cells):
             widths = np.diff(lines)
             cmids = 0.5 * (lines[:-1] + lines[1:])
-            self._axes.append(
-                (lines, widths, cmids, cell, kidx, tA, tB, tC, los, his)
-            )
-            # the same terms as Python floats, one tuple per merged interval;
-            # the last grid line can round short of the box side, so k = r
-            # marks an interval on the linear tail past it (l, l2 unused)
+            kidx = np.searchsorted(lines, mids, side="right") - 1
+            # the kernel's terms as Python floats, one tuple per merged
+            # interval; the last grid line can round short of the box side,
+            # so k = r marks an interval on the linear tail past it (l, l2
+            # unused)
             ki = np.clip(kidx, 0, len(widths) - 1)
             segs = zip(kidx.tolist(), lines[ki].tolist(), (lines[ki] ** 2).tolist(),
-                       tA.tolist(), tB.tolist(), tC.tolist(), los.tolist(), his.tolist())
+                       tA.tolist(), tB.tolist(), tC.tolist(), pts[:-1].tolist(), pts[1:].tolist())
             self._scalar.append((widths.tolist(), cmids.tolist(), float(cell), list(segs)))
         self._memo: tuple[dict, dict] = ({}, {})
 
     def _axis(self, counts, axk: int) -> tuple[float, float]:
         """``(min, max)`` over the axis of the candidate's term minus the
-        target's, for one sequence of counts; the formulas of
-        ``_count_coeffs`` and ``_extrema_from_coeffs`` on Python floats."""
+        target's, for one sequence of counts.
+
+        The annealer's hot path, and the one deliberate second copy of the
+        kernel: the formulas of ``conic._coeffs``, ``conic._prefix`` and
+        ``conic._FieldDiff.extrema`` on Python floats, with no numpy call
+        (whose per-call overhead would dominate a step).  It stays
+        bit-identical to ``axis_extrema``, which the tests check.
+        """
         key = tuple(counts)
         memo = self._memo[axk]
         hit = memo.get(key)
@@ -233,109 +217,20 @@ class _SupScore:
         return max(umax + vmax, -(umin + vmin))
 
     def axis_extrema(self, counts: np.ndarray, axk: int) -> tuple[np.ndarray, np.ndarray]:
-        """Per-row ``(min, max)`` of ``_axis`` for a ``(U, k)`` stack of counts.
-
-        The same formulas in the same order along each row, so every entry
-        is bit-identical to the scalar path; nothing is memoized.
-        """
-        lines, widths, cmids, cell, ki, tA, tB, tC, los, his = self._axes[axk]
-        A, B, C = _count_coeffs(counts, lines, cell, ki)
-        dA, dB, dC = A - tA, B - tB, C - tC
-
-        def val(t):
-            return (dA * t + dB) * t + dC
-
-        cand_lo = val(los)
-        cand_hi = val(his)
-        best_max = _pymax(cand_lo.max(axis=1), cand_hi.max(axis=1))
-        best_min = _pymin(cand_lo.min(axis=1), cand_hi.min(axis=1))
-        nz = dA != 0.0
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            tv = -dB / (2.0 * dA)
-            ok = nz & (tv > los) & (tv < his)
-            vv = val(tv)
-        best_max = _pymax(best_max, np.where(ok, vv, -np.inf).max(axis=1))
-        best_min = _pymin(best_min, np.where(ok, vv, np.inf).min(axis=1))
-        return best_min, best_max
-
-
-def _count_coeffs(counts: np.ndarray, lines: np.ndarray, cell: float, k: np.ndarray):
-    """Axis-term coefficients ``(A, B, C)`` for a ``(U, r)`` stack of counts.
-
-    Row ``u`` is the profile with plateau values ``counts[u] * cell`` on the
-    grid ``lines``; column ``p`` is its quadratic on plateau ``k[p]`` (``-1``
-    and ``r`` are the linear tails).  The formulas of ``_profile_coeffs`` in
-    the same order, so every entry is bit-identical to the built profile's.
-    """
-    widths = np.diff(lines)
-    cmids = 0.5 * (lines[:-1] + lines[1:])
-    vals = counts * cell
-    zero = np.zeros((len(counts), 1))
-    mass = np.concatenate([zero, np.cumsum(vals * widths, axis=1)], axis=1)
-    moment = np.concatenate([zero, np.cumsum(vals * widths * cmids, axis=1)], axis=1)
-    mtot, stot = mass[:, -1:], moment[:, -1:]
-    r = len(widths)
-    ki = np.clip(k, 0, r - 1)
-    A = vals[:, ki]
-    B = 2.0 * mass[:, ki] - 2.0 * A * lines[ki] - mtot
-    C = A * lines[ki] ** 2 - 2.0 * moment[:, ki] + stot
-    left, right = k < 0, k >= r
-    A = np.where(left | right, 0.0, A)
-    B = np.where(left, -mtot, np.where(right, mtot, B))
-    C = np.where(left, stot, np.where(right, -stot, C))
-    return A, B, C
-
-
-# the l1 quadrature sum runs over blocks of members holding at most this
-# many (member, x-point, y-point) products at once, 512 KiB a temporary
-# (a member with more points than that forms a block alone)
-_L1_BLOCK = 1 << 16
-
-
-def _l1_axis(counts, lines, cell, tprof, lo, hi, refine):
-    """Quadrature weights, per-row term differences and slope bounds of
-    one axis, mirroring ``l1_norm_diff`` for every row of ``counts``."""
-    probe = XRayProfile(tprof.axis, lines, np.ones(len(lines) - 1))
-    mids, w, _, pts = _axis_values_and_weights(probe, tprof, lo, hi, refine)
-    knots = np.concatenate([pts, 0.5 * (pts[:-1] + pts[1:])])
-    ts = np.concatenate([mids, knots])
-    coeffs = _count_coeffs(counts, lines, cell, np.searchsorted(lines, ts, side="right") - 1)
-    (Am, Ak), (Bm, Bk), (Cm, _) = (np.split(X, [len(mids)], axis=1) for X in coeffs)
-    diff = ((Am * mids + Bm) * mids + Cm) - _axis_eval(tprof, mids)
-    gap = np.abs((2.0 * Ak * knots + Bk) - _axis_slope(tprof, knots))
-    lip = _pymax(gap[:, : len(pts)].max(axis=1), gap[:, len(pts) :].max(axis=1))
-    return w, diff, lip
+        """Per-row ``(min, max)`` of ``_axis`` for a ``(U, k)`` stack of
+        counts, through the kernel; nothing is memoized."""
+        return self._kernel.extrema(axk, self._kernel.stack(axk, counts * self._cells[axk]))
 
 
 def _l1_brackets(target: ConicEvaluator, geometry: GridGeometry, refine: int,
                  ucols, cinv, urows, rinv) -> tuple[np.ndarray, np.ndarray]:
     """``l1_norm_diff`` brackets of a family given by its distinct count
-    vectors and each member's index into them, bit-identical to the public
-    evaluation: every member's breakpoints are the grid lines, so the
-    partition, quadrature points and weights are shared."""
-    box = geometry.box
-    wx, du, lip_x = _l1_axis(ucols, geometry.xlines(), geometry.cell_h,
-                             target.yprofile, box.a, box.b, refine)
-    wy, dv, lip_y = _l1_axis(urows, geometry.ylines(), geometry.cell_w,
-                             target.xprofile, box.c, box.d, refine)
-    weights = wx[:, None] * wy[None, :]
-    total = np.empty(len(cinv))
-    step = max(1, _L1_BLOCK // weights.size)
-    for s in range(0, len(cinv), step):
-        c, r = cinv[s : s + step], rinv[s : s + step]
-        block = du[c][:, :, None] + dv[r][:, None, :]
-        np.abs(block, out=block)
-        np.multiply(weights, block, out=block)
-        total[s : s + step] = block.reshape(len(c), -1).sum(axis=1)
-    ex = lip_x * float((wx**2).sum()) * float(wy.sum())
-    ey = lip_y * float((wy**2).sum()) * float(wx.sum())
-    err = 0.25 * (ex[cinv] + ey[rinv])
-    lower = _pymax(0.0, total - err)
-    upper = total + err
-    bad = np.flatnonzero(~(lower <= upper))
-    if bad.size:
-        raise InvalidParameter(f"bad bracket [{lower[bad[0]]}, {upper[bad[0]]}]")
-    return lower, upper
+    vectors and each member's index into them, through the same kernel as
+    the public evaluation: every member's breakpoints are the grid lines,
+    so the partition, quadrature points and weights are shared."""
+    kernel = _FieldDiff(geometry.xlines(), geometry.ylines(), target, geometry.box)
+    return kernel.l1(kernel.stack(0, ucols * geometry.cell_h), kernel.stack(1, urows * geometry.cell_w),
+                     refine, cinv, rinv)
 
 
 @functools.lru_cache(maxsize=8)

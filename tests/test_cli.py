@@ -137,6 +137,10 @@ def test_verify_remark2(tmp_path, capsys):
         ("convergence", ["--seeds", "2"]),
         ("convergence", ["--seeds", "2", "--resolutions", "2x2,4x4,8x8"]),
         ("polyline", ["--seeds", "4", "--eps", "0.3", "--segments", "4"]),
+        # on 0,0.9 the last of 7 grid lines, 0.9000000000000001, lies past
+        # the side: a set still lies inside its own box
+        ("stability", ["--seeds", "20", "--box", "0,0.9,0,0.9", "--dims", "7x7"]),
+        ("convergence", ["--seeds", "20", "--box", "0,0.9,0,0.9", "--dims", "7x7"]),
     ],
 )
 def test_verify_batches_pass(mode, extra, capsys):
@@ -346,6 +350,16 @@ def test_non_finite_eps_is_one_error_line(capsys, mode, eps):
     code, out, err = invoke(capsys, "verify", mode, "--seeds", "1", f"--eps={eps}")
     assert code == 1 and out == ""
     assert err.startswith("ERROR PreconditionViolated:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("mode,eps", [("dilation", "1e308"), ("polyline", "1e308"),
+                                      ("polyline", "1e-9")])
+def test_oversized_raster_is_one_error_line(capsys, mode, eps):
+    # the raster size is checked before it is rounded or allocated: 1e308
+    # overflows it to inf, 1e-9 asks for about 2e21 tube cells
+    code, out, err = invoke(capsys, "verify", mode, "--seeds", "1", f"--eps={eps}")
+    assert code == 1 and out == ""
+    assert err.startswith("ERROR TooLarge:") and err.count("\n") == 1
 
 
 def test_huge_dims_hvset_is_format_error(tmp_path, capsys):

@@ -5,6 +5,7 @@ forms for the unit cell worked out by hand, and an exact rational
 evaluator that integrates |x - a| piecewise with Fractions.
 """
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -236,6 +237,98 @@ def test_prop_norms_are_consistent(seed):
     l1 = hv.l1_norm_diff(A, B, GEO88.box)
     area = GEO88.box.width * GEO88.box.height
     assert l1.lower <= sup * area + 1e-9
+
+
+def _sampled_field(box, m, n, seed, full=False):
+    geo = hv.GridGeometry(hv.Box(*box), m, n)
+    return hv.conic_of(hv.sample_hv_convex(geo, seed, require_full_box=full))
+
+
+def _csv_field(vrows, hrows):
+    def text(rows):
+        return "t_lo,t_hi,value\n" + "".join(f"{a!r},{b!r},{v!r}\n" for a, b, v in rows)
+
+    return hv.ConicEvaluator(hv.parse_profile_csv(text(vrows), VERTICAL),
+                             hv.parse_profile_csv(text(hrows), HORIZONTAL))
+
+
+# breakpoints off every grid; both profiles carry mass 0.82, and the
+# horizontal one starts left of the unit box
+OFF_GRID = ([(0.13, 0.23, 2.5), (0.23, 0.68, 0.6), (0.68, 0.98, 1.0)],
+            [(-0.1, 0.3, 1.2), (0.3, 0.64, 1.0)])
+UNIT_BOX = (0, 1, 0, 1)
+
+# name -> (field 1, field 2, box)
+NORM_PAIRS = {
+    "same_grid": lambda: (_sampled_field((0, 4, 0, 4), 4, 4, 3),
+                          _sampled_field((0, 4, 0, 4), 4, 4, 8), (0, 4, 0, 4)),
+    "cross_res": lambda: (_sampled_field(UNIT_BOX, 5, 5, 11),
+                          _sampled_field(UNIT_BOX, 7, 3, 12), UNIT_BOX),
+    "weighted": lambda: (_sampled_field((0, 3, 0, 2), 6, 4, 21).weighted(),
+                         _sampled_field((0, 3, 0, 2), 3, 8, 22, True).weighted(), (0, 3, 0, 2)),
+    "csv_vs_grid": lambda: (_csv_field(*OFF_GRID), _sampled_field(UNIT_BOX, 4, 4, 5), UNIT_BOX),
+    "csv_weighted": lambda: (_sampled_field(UNIT_BOX, 9, 6, 31).weighted(),
+                             _csv_field(*OFF_GRID).weighted(), UNIT_BOX),
+    "off_origin": lambda: (_sampled_field((-2.5, 1.5, 3, 4.25), 6, 5, 41),
+                           _sampled_field((-2.5, 1.5, 3, 4.25), 4, 7, 42, True),
+                           (-2.5, 1.5, 3, 4.25)),
+    "box_0_9": lambda: (_sampled_field((0, 0.9, 0, 0.9), 7, 7, 51, True),
+                        _sampled_field((0, 0.9, 0, 0.9), 3, 3, 52), (0, 0.9, 0, 0.9)),
+    "aspect_100": lambda: (_sampled_field((0, 100, 0, 1), 10, 3, 61),
+                           _sampled_field((0, 100, 0, 1), 7, 5, 62), (0, 100, 0, 1)),
+    "identical": lambda: (_sampled_field((0, 2, 0, 2), 5, 5, 71),
+                          _sampled_field((0, 2, 0, 2), 5, 5, 71), (0, 2, 0, 2)),
+    "cell_vs_full": lambda: (
+        hv.conic_of(hv.GridSet.from_cells(hv.GridGeometry(hv.Box(0, 3, 0, 3), 3, 3), [(1, 1)])),
+        hv.conic_of(hv.GridSet.full(hv.GridGeometry(hv.Box(0, 3, 0, 3), 3, 3))), (0, 3, 0, 3)),
+    "sub_box": lambda: (_sampled_field((0, 4, 0, 4), 8, 8, 81),
+                        _sampled_field((0, 4, 0, 4), 5, 3, 82), (0.7, 3.1, 1.3, 2.2)),
+    "wide_box": lambda: (_csv_field(*OFF_GRID), _sampled_field(UNIT_BOX, 3, 6, 91, True),
+                         (-0.5, 1.5, -1.0, 2.0)),
+}
+
+# name -> (sup norm, l1 brackets (lower, upper) at refine 1, 4 and 7)
+FROZEN_NORMS = {
+    "same_grid": (1.0, [(6.0, 22.0), (11.375, 15.375), (12.204081632653061, 14.489795918367346)]),
+    "cross_res": (0.14305668934240362, [(0.045826169960047534, 0.06571205701328153), (0.05339076861300077, 0.05836224037630928), (0.05445896302880317, 0.057299804036408025)]),
+    "weighted": (0.843253968253968, [(1.9632936507936503, 3.8680555555555554), (2.6908724345858133, 3.1670629107762895), (2.793161269609884, 3.0652701131472995)]),
+    "csv_vs_grid": (0.82785, [(0.3442571249999999, 0.4712731249999999), (0.39508113281249996, 0.4268351328124999), (0.4020289209183673, 0.42017406377551014)]),
+    "csv_weighted": (0.4033047032083219, [(0.10357108191976987, 0.24129587967145105), (0.15480042020248763, 0.1892316196404079), (0.1621653469742811, 0.18184031808166412)]),
+    "off_origin": (8.772463151927441, [(16.24679941421013, 20.95699202299968), (18.099514892762663, 19.27706304496005), (18.35572552028586, 19.028610178684367)]),
+    "box_0_9": (0.2654344023323617, [(0.07024329446064148, 0.09930006247396925), (0.08146028477717626, 0.08872447678050821), (0.08303129622861233, 0.08718226308765914)]),
+    "aspect_100": (441.2879818594109, [(17770.095238095262, 21163.921390778563), (19065.97637944069, 19914.432917611513), (19248.82996282416, 19733.662270350345)]),
+    "identical": (0.0, [(0.0, 0.0), (0.0, 0.0), (0.0, 0.0)]),
+    "cell_vs_full": (24.0, [(108.0, 180.0), (138.75, 156.75), (142.77551020408163, 153.0612244897959)]),
+    "sub_box": (7.381111111111111, [(4.225018055555557, 7.283790277777779), (5.416701504629629, 6.181394560185185), (5.582949112831074, 6.019916573148534)]),
+    "wide_box": (1.0277574074074076, [(1.7645339160493825, 3.2789404049382718), (2.336138664197531, 2.7147402864197527), (2.4174338096245904, 2.6337775937515744)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NORM_PAIRS))
+def test_norms_frozen(name):
+    E1, E2, box = NORM_PAIRS[name]()
+    box = hv.Box(*box)
+    sup, brackets = FROZEN_NORMS[name]
+    assert repr(hv.sup_norm_diff(E1, E2, box)) == repr(sup)
+    for refine, (lower, upper) in zip((1, 4, 7), brackets):
+        br = hv.l1_norm_diff(E1, E2, box, refine=refine)
+        assert (repr(br.lower), repr(br.upper)) == (repr(lower), repr(upper))
+
+
+def test_field_values_frozen():
+    # a lattice reaching past both ends of every profile, so the linear
+    # tails are hit as well as the plateaus
+    xs = np.linspace(-0.2, 1.2, 33)
+    ys = np.linspace(-0.3, 1.1, 29)
+    E1, E2, _ = NORM_PAIRS["csv_vs_grid"]()
+    digests = []
+    for E in (E1, E2):
+        vals = np.concatenate([E.evaluate_grid(xs, ys).ravel(),
+                               [E.evaluate(x, y) for x, y in zip(xs, ys)],
+                               np.ravel([E.gradient(x, y) for x, y in zip(xs, ys)])])
+        digests.append(hashlib.sha256(vals.tobytes()).hexdigest())
+    assert digests == ["609d00b0e1cc86690612ca95944170dc3b70f51d8812f10b30c63669e9751b18",
+                       "4f2fdd3c3b8149074264c9e51980a6c60adeceb3bc3be5944fcb29d369c0dfdc"]
 
 
 # ---------------------------------------------------------------------------

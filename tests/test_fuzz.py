@@ -1,13 +1,19 @@
-"""Fuzzing the text parsers: whatever the input, only ``ConicError`` escapes.
+"""Fuzzing the text parsers and the problem loader: whatever the input,
+only ``ConicError`` escapes.
 
 Inputs are assembled from the formats' own line shapes with tokens drawn
 from a pool of valid, malformed, non-finite and out-of-range values, plus
 free text, so most examples get past the header checks.
 """
 
-from hypothesis import given, settings, strategies as st
+import json
+import os
+import tempfile
+
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import hvconic as hv
+from hvconic import reconstruct
 from hvconic.errors import ConicError
 
 NUMBERS = st.sampled_from(
@@ -84,3 +90,64 @@ def test_fuzz_parse_profile_csv(text, axis):
 @given(st.one_of(polyline_texts(), st.text(max_size=40)))
 def test_fuzz_parse_polyline(text):
     _only_conic_errors(hv.parse_polyline, text)
+
+
+# ---------------------------------------------------------------------------
+# problem files: a JSON spec plus the set or profile files it names
+
+JSON_LEAF = st.one_of(st.none(), st.booleans(), st.integers(-3, 10**20), st.floats(),
+                      st.text(max_size=4))
+JSON_ANY = st.recursive(JSON_LEAF, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6)
+
+
+def _or_json(valid):
+    """A valid field ten times in eleven, else any JSON value."""
+    return _mostly(True, False).flatmap(lambda ok: st.just(valid) if ok else JSON_ANY)
+
+
+@st.composite
+def set_and_profiles(draw):
+    """A sampled set's HVSET text and profile CSVs, or fuzzed texts."""
+    m, n = draw(_mostly(3, 1, 4)), draw(_mostly(2, 1, 4))
+    L = hv.sample_hv_convex(hv.GridGeometry(hv.Box(0, 2, 0, 3), m, n), draw(st.integers(0, 99)))
+    if draw(_mostly(True, False)):
+        return hv.format_hvset(L), hv.profile_to_csv(hv.xray_v(L)), hv.profile_to_csv(hv.xray_h(L))
+    return draw(hvset_texts()), draw(profile_texts()), draw(profile_texts())
+
+
+@st.composite
+def problem_specs(draw, paths):
+    hvset, vcsv, hcsv = paths
+    target = draw(_mostly({"hvset": hvset}, {"xray_csv": {"vertical": vcsv, "horizontal": hcsv}},
+                          {"xray_csv": {"vertical": vcsv}}, {"file": hvset}))
+    fields = {
+        "box": _or_json(draw(_mostly([0, 2, 0, 3], [0, 2, 0], [1, 1, 0, 3], [0, 2, 0, "3"]))),
+        "dims": _or_json(draw(_mostly([3, 2], [0, 2], [2, 1e400], ["a", 2], [3]))),
+        "target": _or_json(target),
+        "norm": _or_json(draw(_mostly("sup", "l1", "max"))),
+        "feasibility": _or_json(draw(_mostly("hv_connected", "hv_connected_full_box", "any"))),
+        "l1_refine": _or_json(draw(_mostly(4, 0, -1, 2.5, "4"))),
+        "budget": _or_json(draw(st.dictionaries(
+            st.sampled_from(["initial_temperature", "cooling", "steps", "restarts", "seed"]),
+            st.one_of(st.integers(-2, 10**4), st.floats(-2, 5)), max_size=3))),
+        "seed": _or_json(draw(_mostly(7, -1, 10**30))),
+        "out_prefix": _or_json("rec"),
+    }
+    return {key: draw(value) for key, value in fields.items() if draw(_mostly(True, False))}
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_fuzz_load_problem(tmp_path, data):
+    with tempfile.TemporaryDirectory(dir=tmp_path) as d:
+        paths = [os.path.join(d, name) for name in ("t.hvset", "v.csv", "h.csv")]
+        for path, text in zip(paths, data.draw(set_and_profiles())):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        problem = os.path.join(d, "p.json")
+        with open(problem, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(data.draw(problem_specs(paths))))
+        _only_conic_errors(reconstruct.load_problem, problem)
