@@ -354,6 +354,15 @@ class _FieldDiff:
                 best_min = _pymin(best_min, np.where(ok, vv, np.inf).min(axis=-1))
         return best_min, best_max
 
+    def sup(self, xp, yp, cinv, rinv):
+        """``sup_norm_diff`` of the fields whose profiles are rows
+        ``cinv[k]`` of ``xp`` and ``rinv[k]`` of ``yp`` (for a single
+        profile both indices are ``()``): the larger of (max + max) and -(min + min) of the two
+        separated terms, ties kept as the builtin ``max`` keeps them."""
+        umin, umax = self.extrema(0, xp)
+        vmin, vmax = self.extrema(1, yp)
+        return _pymax(umax[cinv] + vmax[rinv], -(umin[cinv] + vmin[rinv]))
+
     def l1_terms(self, axk: int, p, refine: int):
         """Quadrature weights on the partition, each piece split ``refine``
         times; each field's axis-term difference at the quadrature points;
@@ -406,9 +415,7 @@ def sup_norm_diff(E1: ConicEvaluator, E2: ConicEvaluator, box: Box) -> float:
     quadratics (interval endpoints and interior vertices).
     """
     diff = _FieldDiff(E1.yprofile.breakpoints, E1.xprofile.breakpoints, E2, box)
-    umin, umax = diff.extrema(0, E1.yprofile)
-    vmin, vmax = diff.extrema(1, E1.xprofile)
-    return float(max(umax + vmax, -(umin + vmin)))
+    return float(diff.sup(E1.yprofile, E1.xprofile, (), ()))
 
 
 def l1_norm_diff(E1: ConicEvaluator, E2: ConicEvaluator, box: Box, refine: int = 4) -> Bracket:
@@ -459,11 +466,6 @@ def xrays_equal_ae(L1: GridSet, L2: GridSet) -> bool:
     if L1.geometry.box != L2.geometry.box:
         raise GeometryMismatch("X-ray comparison needs a shared reference box")
     g1, g2 = L1.geometry, L2.geometry
-    if g1 == g2:
-        return bool(
-            np.array_equal(L1.col_counts(), L2.col_counts())
-            and np.array_equal(L1.row_counts(), L2.row_counts())
-        )
     return _steps_equal(L1.col_counts(), g1.n, L2.col_counts(), g2.n) and _steps_equal(
         L1.row_counts(), g1.m, L2.row_counts(), g2.m
     )

@@ -22,7 +22,6 @@ import numpy as np
 from .conic import (
     ConicEvaluator,
     _FieldDiff,
-    _pymax,
     conic_of,
     l1_norm_diff,
     parse_profile_csv,
@@ -86,8 +85,8 @@ class AnnealingParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.initial_temperature <= 0:
-            raise InvalidParameter("initial_temperature must be positive")
+        if not (math.isfinite(self.initial_temperature) and self.initial_temperature > 0):
+            raise InvalidParameter("initial_temperature must be positive and finite")
         if not 0.0 < self.cooling < 1.0:
             raise InvalidParameter("cooling must lie strictly between 0 and 1")
         # zero steps allowed: the run then reports the initial sample
@@ -115,6 +114,15 @@ def _check_feasible(L: GridSet, problem: ReconstructionProblem) -> None:
         raise RuntimeError(f"reconstruction returned an infeasible set: {L!r}")
 
 
+def _finish(best: GridSet, problem: ReconstructionProblem, trace: list, steps: int,
+            optima: list | None = None) -> ReconstructionResult:
+    # both engines end here: the returned set is checked against the
+    # family and rescored through the public path
+    _check_feasible(best, problem)
+    return ReconstructionResult(best, objective(best, problem), trace, thin_contact(best), steps,
+                                optima)
+
+
 def objective(L: GridSet, problem: ReconstructionProblem) -> float:
     """Norm distance of L's field to the target over the reference box.
 
@@ -140,17 +148,16 @@ class _SupScore:
 
     The merged interval structure shared by every candidate on the fixed
     grid (the candidate breakpoints are always the grid lines) comes from
-    the conic kernel ``_FieldDiff``, built once; ``axis_extrema`` scores a
-    stack of count vectors through it, and the scalar path mirrors its
-    formulas term for term, so both are bit-identical to ``objective`` on
-    the same candidate.
+    the conic kernel ``_FieldDiff``, built once, and the scalar path
+    mirrors ``_FieldDiff.sup`` term for term, so it is bit-identical to
+    ``objective`` on the same candidate.
     """
 
     def __init__(self, target: ConicEvaluator, geometry: GridGeometry):
-        self._kernel = _FieldDiff(geometry.xlines(), geometry.ylines(), target, geometry.box)
-        self._cells = (geometry.cell_h, geometry.cell_w)
+        kernel = _FieldDiff(geometry.xlines(), geometry.ylines(), target, geometry.box)
         self._scalar = []
-        for (lines, _, pts, mids, (tA, tB, tC)), cell in zip(self._kernel.axes, self._cells):
+        cells = (geometry.cell_h, geometry.cell_w)
+        for (lines, _, pts, mids, (tA, tB, tC)), cell in zip(kernel.axes, cells):
             widths = np.diff(lines)
             cmids = 0.5 * (lines[:-1] + lines[1:])
             kidx = np.searchsorted(lines, mids, side="right") - 1
@@ -172,7 +179,7 @@ class _SupScore:
         kernel: the formulas of ``conic._coeffs``, ``conic._prefix`` and
         ``conic._FieldDiff.extrema`` on Python floats, with no numpy call
         (whose per-call overhead would dominate a step).  It stays
-        bit-identical to ``axis_extrema``, which the tests check.
+        bit-identical to the kernel, which the tests check.
         """
         key = tuple(counts)
         memo = self._memo[axk]
@@ -216,21 +223,23 @@ class _SupScore:
         vmin, vmax = self._axis(row_counts, 1)
         return max(umax + vmax, -(umin + vmin))
 
-    def axis_extrema(self, counts: np.ndarray, axk: int) -> tuple[np.ndarray, np.ndarray]:
-        """Per-row ``(min, max)`` of ``_axis`` for a ``(U, k)`` stack of
-        counts, through the kernel; nothing is memoized."""
-        return self._kernel.extrema(axk, self._kernel.stack(axk, counts * self._cells[axk]))
 
+def _search_score(problem: ReconstructionProblem):
+    """The annealer's objective of a set given by its column and row
+    counts, bit-identical to ``objective``: the scalar ``_SupScore``, or
+    for l1 a one-row stack through one kernel built for the search."""
+    g = problem.geometry
+    if problem.norm == NORM_SUP:
+        return _SupScore(problem.target, g)
+    kernel = _FieldDiff(g.xlines(), g.ylines(), problem.target, g.box)
+    one = np.zeros(1, dtype=np.intp)
 
-def _l1_brackets(target: ConicEvaluator, geometry: GridGeometry, refine: int,
-                 ucols, cinv, urows, rinv) -> tuple[np.ndarray, np.ndarray]:
-    """``l1_norm_diff`` brackets of a family given by its distinct count
-    vectors and each member's index into them, through the same kernel as
-    the public evaluation: every member's breakpoints are the grid lines,
-    so the partition, quadrature points and weights are shared."""
-    kernel = _FieldDiff(geometry.xlines(), geometry.ylines(), target, geometry.box)
-    return kernel.l1(kernel.stack(0, ucols * geometry.cell_h), kernel.stack(1, urows * geometry.cell_w),
-                     refine, cinv, rinv)
+    def l1(col_counts, row_counts) -> float:
+        xp = kernel.stack(0, np.array([col_counts]) * g.cell_h)
+        yp = kernel.stack(1, np.array([row_counts]) * g.cell_w)
+        return float(kernel.l1(xp, yp, problem.l1_refine, one, one)[1][0])
+
+    return l1
 
 
 @functools.lru_cache(maxsize=8)
@@ -253,10 +262,11 @@ def exhaustive(problem: ReconstructionProblem) -> ReconstructionResult:
     ``enumerate_hv_connected`` (a search over column runs, built once per
     grid shape), in ascending order of the bit-encoded cell indicator
     (bit ``i*n + j``), which fixes the reported order of tied optima.  The
-    whole family is scored in one vectorized pass over its distinct
-    column-count and row-count vectors, for either norm.  For l1 "tied"
-    means the objective brackets overlap the best one; for sup ties are
-    exact.
+    whole family is scored in one vectorized pass of the conic kernel over
+    its distinct column-count and row-count vectors, for either norm: every
+    member's breakpoints are the grid lines, so the partition is shared.
+    For l1 "tied" means the objective brackets overlap the best one; for
+    sup ties are exact.
     """
     g = problem.geometry
     m, n = g.m, g.n
@@ -265,15 +275,12 @@ def exhaustive(problem: ReconstructionProblem) -> ReconstructionResult:
     full_box = problem.feasibility == FEAS_FULL
     family = _family(m, n, full_box)
     ucols, cinv, urows, rinv = _family_counts(m, n, full_box)
+    kernel = _FieldDiff(g.xlines(), g.ylines(), problem.target, g.box)
+    xp, yp = kernel.stack(0, ucols * g.cell_h), kernel.stack(1, urows * g.cell_w)
     if problem.norm == NORM_SUP:
-        scorer = _SupScore(problem.target, g)
-        umin, umax = scorer.axis_extrema(ucols, 0)
-        vmin, vmax = scorer.axis_extrema(urows, 1)
-        upper = _pymax(umax[cinv] + vmax[rinv], -(umin[cinv] + vmin[rinv]))
-        lower = upper
+        lower = upper = kernel.sup(xp, yp, cinv, rinv)
     else:
-        lower, upper = _l1_brackets(problem.target, g, problem.l1_refine,
-                                    ucols, cinv, urows, rinv)
+        lower, upper = kernel.l1(xp, yp, problem.l1_refine, cinv, rinv)
     # a candidate enters the trace when it beats every earlier one
     before = np.minimum.accumulate(np.concatenate([[math.inf], upper[:-1]]))
     records = np.flatnonzero(upper < before)
@@ -281,16 +288,8 @@ def exhaustive(problem: ReconstructionProblem) -> ReconstructionResult:
         raise InvalidParameter("no feasible candidate has a finite objective")
     trace = [(int(k) + 1, float(upper[k])) for k in records]
     best_val = float(upper[records[-1]])
-    best = GridSet(g, family[records[-1]])
-    _check_feasible(best, problem)
-    return ReconstructionResult(
-        best=best,
-        objective=objective(best, problem),
-        trace=trace,
-        thin_contact=thin_contact(best),
-        steps=len(family),
-        optima=[GridSet(g, family[k]) for k in np.flatnonzero(lower <= best_val)],
-    )
+    optima = [GridSet(g, family[k]) for k in np.flatnonzero(lower <= best_val)]
+    return _finish(GridSet(g, family[records[-1]]), problem, trace, len(family), optima)
 
 
 def _touch(a: int, b: int) -> bool:
@@ -358,12 +357,7 @@ def local_search(problem: ReconstructionProblem, params: AnnealingParams) -> Rec
     g = problem.geometry
     n = g.n
     full_box = problem.feasibility == FEAS_FULL
-    scorer = _SupScore(problem.target, g) if problem.norm == NORM_SUP else None
-
-    def score(cols, ccounts, rcounts):
-        if scorer is not None:
-            return scorer(ccounts, rcounts)
-        return objective(GridSet(g, _bits_to_cells(cols, n)), problem)
+    score = _search_score(problem)
 
     best_cols = None
     best_val = math.inf
@@ -376,7 +370,7 @@ def local_search(problem: ReconstructionProblem, params: AnnealingParams) -> Rec
         cols, rows = _line_bits(start.cells), _line_bits(start.cells.T)
         ccounts = [c.bit_count() for c in cols]
         rcounts = [r.bit_count() for r in rows]
-        cur = score(cols, ccounts, rcounts)
+        cur = score(ccounts, rcounts)
         if cur < best_val:
             best_val = cur
             best_cols = list(cols)
@@ -396,7 +390,7 @@ def local_search(problem: ReconstructionProblem, params: AnnealingParams) -> Rec
                 rows[j] ^= 1 << i
                 ccounts[i] += delta
                 rcounts[j] += delta
-                val = score(cols, ccounts, rcounts)
+                val = score(ccounts, rcounts)
                 accept = val <= cur or (
                     T > 0.0 and coins[s] < math.exp((cur - val) / T)
                 )
@@ -419,15 +413,7 @@ def local_search(problem: ReconstructionProblem, params: AnnealingParams) -> Rec
 
     if best_cols is None:
         raise InvalidParameter("no sampled candidate has a finite objective")
-    best = GridSet(g, _bits_to_cells(best_cols, n))
-    _check_feasible(best, problem)
-    return ReconstructionResult(
-        best=best,
-        objective=objective(best, problem),
-        trace=trace,
-        thin_contact=thin_contact(best),
-        steps=total_steps,
-    )
+    return _finish(GridSet(g, _bits_to_cells(best_cols, n)), problem, trace, total_steps)
 
 
 # ---------------------------------------------------------------------------

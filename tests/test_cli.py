@@ -299,18 +299,46 @@ def test_missing_file_is_io_error(capsys):
     assert err.startswith("ERROR IOError:")
 
 
-def test_domain_error_reports_class(tmp_path, capsys):
-    bad = tmp_path / "bad.hvset"
-    bad.write_text("HVSET v9\n", encoding="utf-8")
-    code, _, err = invoke(capsys, "xray", str(bad))
-    assert code == 1
-    assert err.startswith("ERROR FormatError:")
-    good = tmp_path / "good.hvset"
+EMPTY_HVSET = "HVSET v1\nbox 0.0 2.0 0.0 2.0\ndims 2 2\n00\n00\n"
+
+# id -> (argv, error class); the files are written by the test
+ERROR_ROWS = {
+    "bad-header": (["xray", "bad.hvset"], "FormatError"),
+    "small-lattice": (["conic", "good.hvset", "--samples", "1x5"], "InvalidParameter"),
+    "empty-dist": (["dist", "empty.hvset", "good.hvset"], "EmptySet"),
+    "empty-conic": (["conic", "empty.hvset", "--samples", "3x3"], "ZeroMass"),
+    "empty-target": (["reconstruct", "empty.json"], "ZeroMass"),
+    "enum-5x5": (["enum", "--dims", "5x5"], "TooLarge"),
+    "oracle-5x4": (["reconstruct", "big.json", "--oracle"], "TooLarge"),
+    "ladder-not-nested": (["verify", "convergence", "--resolutions", "3x3,4x4"],
+                          "PreconditionViolated"),
+    "nan-temperature": (["reconstruct", "nan.json"], "InvalidParameter"),
+    "inf-temperature": (["reconstruct", "inf.json"], "InvalidParameter"),
+}
+
+
+@pytest.mark.parametrize("argv,cls", list(ERROR_ROWS.values()), ids=list(ERROR_ROWS))
+def test_domain_error_reports_class(tmp_path, capsys, monkeypatch, argv, cls):
+    monkeypatch.chdir(tmp_path)
     geo = hv.GridGeometry(hv.Box(0, 2, 0, 2), 2, 2)
-    good.write_text(hv.format_hvset(hv.GridSet.full(geo)), encoding="utf-8")
-    code, _, err = invoke(capsys, "conic", str(good), "--samples", "1x5")
+    (tmp_path / "bad.hvset").write_text("HVSET v9\n", encoding="utf-8")
+    (tmp_path / "good.hvset").write_text(hv.format_hvset(hv.GridSet.full(geo)), encoding="utf-8")
+    (tmp_path / "empty.hvset").write_text(EMPTY_HVSET, encoding="utf-8")
+    for name, target, dims, budget in (
+        ("empty", "empty.hvset", [2, 2], {}),
+        ("big", "good.hvset", [5, 4], {}),
+        ("nan", "good.hvset", [2, 2], {"initial_temperature": float("nan")}),
+        ("inf", "good.hvset", [2, 2], {"initial_temperature": float("inf")}),
+    ):
+        (tmp_path / f"{name}.json").write_text(
+            json.dumps({"target": {"hvset": target}, "box": [0, 2, 0, 2], "dims": dims,
+                        "budget": budget, "out_prefix": name}),
+            encoding="utf-8",
+        )
+    code, _, err = invoke(capsys, *argv)
     assert code == 1
-    assert err.startswith("ERROR InvalidParameter:")
+    assert err.startswith(f"ERROR {cls}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_verify_failure_exits_one(tmp_path, capsys):

@@ -7,13 +7,14 @@ import pytest
 
 import hvconic as hv
 from hvconic import reconstruct
+from hvconic.conic import _FieldDiff
 from hvconic.errors import FormatError, GeometryMismatch, InvalidParameter, TooLarge
 from hvconic.grid import _family
 from hvconic.reconstruct import (
     _check_feasible,
     _family_counts,
-    _l1_brackets,
     _line_bits,
+    _search_score,
     _SupScore,
     _toggle_ok,
 )
@@ -71,6 +72,9 @@ def test_problem_validation():
         hv.AnnealingParams(steps=-1)
     with pytest.raises(InvalidParameter):
         hv.AnnealingParams(seed=-1)  # numpy generators take no negative seed
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(InvalidParameter):
+            hv.AnnealingParams(initial_temperature=bad)
     hv.AnnealingParams(steps=0)  # explicitly allowed
 
 
@@ -259,9 +263,11 @@ def test_batch_scorer_matches_scalar_bitwise(geo, full):
     targets = [hv.sample_hv_convex(geo, [41, k]) for k in range(3)]
     targets += [hv.sample_hv_convex(fine, [43, k], require_full_box=True) for k in range(3)]
     for T in targets:
-        scorer = _SupScore(hv.conic_of(T), geo)
-        for axk, counts in ((0, cols), (1, rows)):
-            lo, hi = scorer.axis_extrema(counts, axk)
+        target = hv.conic_of(T)
+        scorer = _SupScore(target, geo)
+        kernel = _FieldDiff(geo.xlines(), geo.ylines(), target, geo.box)
+        for axk, counts, cell in ((0, cols, geo.cell_h), (1, rows, geo.cell_w)):
+            lo, hi = kernel.extrema(axk, kernel.stack(axk, counts * cell))
             scalar = np.array([scorer._axis(c, axk) for c in counts])
             assert lo.tobytes() == scalar[:, 0].tobytes()
             assert hi.tobytes() == scalar[:, 1].tobytes()
@@ -272,10 +278,22 @@ def test_batch_scorer_matches_scalar_bitwise(geo, full):
 def test_batch_l1_brackets_match_l1_norm_diff_bitwise(geo, full):
     family = list(hv.enumerate_hv_connected(geo, require_full_box=full))
     fields = [hv.conic_of(L) for L in family]
-    counts = _family_counts(geo.m, geo.n, full)
+    ucols, cinv, urows, rinv = _family_counts(geo.m, geo.n, full)
     fine = hv.GridGeometry(geo.box, 2 * geo.m + 1, 2 * geo.n + 1)
     targets = [hv.sample_hv_convex(geo, [47, geo.n]),
                hv.sample_hv_convex(fine, [53, geo.n], require_full_box=True)]
+
+    def kernel_stacks(target):
+        kernel = _FieldDiff(geo.xlines(), geo.ylines(), target, geo.box)
+        return kernel, kernel.stack(0, ucols * geo.cell_h), kernel.stack(1, urows * geo.cell_w)
+
+    for T in targets:
+        # the sup norm takes no refine, so once per target
+        target = hv.conic_of(T)
+        kernel, xp, yp = kernel_stacks(target)
+        sup = kernel.sup(xp, yp, cinv, rinv)
+        assert [repr(v) for v in sup.tolist()] == [
+            repr(hv.sup_norm_diff(E, target, geo.box)) for E in fields]
     cases = [(hv.conic_of(T), refine) for T in targets for refine in (1, 4, 7)]
     if geo is GEO44:
         # the reference costs about 0.6 ms a member, so on the 3411-set
@@ -283,7 +301,8 @@ def test_batch_l1_brackets_match_l1_norm_diff_bitwise(geo, full):
         # (fine, 4)
         cases = cases[::2]
     for target, refine in cases:
-        lower, upper = _l1_brackets(target, geo, refine, *counts)
+        kernel, xp, yp = kernel_stacks(target)
+        lower, upper = kernel.l1(xp, yp, refine, cinv, rinv)
         brackets = [hv.l1_norm_diff(E, target, geo.box, refine=refine) for E in fields]
         assert lower.tobytes() == np.array([b.lower for b in brackets]).tobytes()
         assert upper.tobytes() == np.array([b.upper for b in brackets]).tobytes()
@@ -462,6 +481,41 @@ def test_local_search_trajectory_frozen(case, best, obj, steps, trace):
     assert repr(res.objective) == repr(obj)
     assert res.steps == steps
     assert repr(res.trace) == repr(trace)
+
+
+def _off_grid_csv_target(geo, seed):
+    # a set on a finer grid of a shifted box, read back from X-ray CSV text:
+    # no target breakpoint need fall on a problem grid line
+    box = geo.box
+    w, h = box.b - box.a, box.d - box.c
+    shifted = hv.Box(box.a + 0.13 * w, box.b - 0.07 * w, box.c - 0.11 * h, box.d + 0.05 * h)
+    T = hv.sample_hv_convex(hv.GridGeometry(shifted, geo.m + 3, geo.n + 2), [67, seed])
+    return hv.ConicEvaluator(
+        hv.parse_profile_csv(hv.profile_to_csv(hv.xray_v(T)), "vertical"),
+        hv.parse_profile_csv(hv.profile_to_csv(hv.xray_h(T)), "horizontal"),
+    )
+
+
+@pytest.mark.parametrize(
+    "dims,box,refine",
+    [((5, 5), (0, 5, 0, 5), 4), ((6, 7), BOX_OFF, 1), ((8, 8), (0, 0.9, 0, 0.9), 3),
+     ((7, 6), (-2.5, 1.25, 0.5, 4.0), 4)],
+)
+def test_l1_search_score_matches_objective(dims, box, refine):
+    # the annealer scores a set from its count lists through one kernel;
+    # the public path rebuilds the field: 3 targets x 17 sets per grid
+    geo = hv.GridGeometry(hv.Box(*box), *dims)
+    fine = hv.GridGeometry(geo.box, 2 * geo.m + 1, 2 * geo.n + 1)
+    targets = [hv.conic_of(hv.sample_hv_convex(geo, [71, geo.m])),
+               hv.conic_of(hv.sample_hv_convex(fine, [73, geo.n], require_full_box=True)),
+               _off_grid_csv_target(geo, geo.m * geo.n)]
+    for t, target in enumerate(targets):
+        prob = hv.ReconstructionProblem(target, geo, norm="l1", l1_refine=refine)
+        score = _search_score(prob)
+        for k in range(17):
+            L = hv.sample_hv_convex(geo, [79, t, k], require_full_box=k % 3 == 0)
+            cols, rows = L.col_counts().tolist(), L.row_counts().tolist()
+            assert repr(score(cols, rows)) == repr(hv.objective(L, prob))
 
 
 def test_objective_zero_means_equal_xrays():
