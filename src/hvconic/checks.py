@@ -136,25 +136,22 @@ def _abs_moment_doubled(X: np.ndarray, T0: np.ndarray, T1: np.ndarray) -> np.nda
 
 
 def _axis_f_margins(
-    counts_comb: np.ndarray,
-    c1: np.ndarray,
-    c2: np.ndarray,
-    p: int,
+    deficits: np.ndarray,
     q: int,
     nsamples: int,
     span: float,
     line_scale: float,
 ) -> np.ndarray:
-    """Exact margins of the x (or y) part of the mixture inequality.
+    """Exact margins of the x (or y) part of the mixture inequality, from
+    the integer count deficits of the combination's lines.
 
     Everything is mapped to the integer lattice with D = lcm(nsamples-1,
-    len(counts_comb)) ticks across the span, where both the sample points
+    len(deficits)) ticks across the span, where both the sample points
     and every profile breakpoint are integers.  The doubled absolute
     moments are then integers too, so each margin is an exact integer
     times a fixed positive scale.
     """
-    deficits = counts_comb.astype(np.int64) - p * np.repeat(c1, q) - (q - p) * np.repeat(c2, q)
-    r = len(counts_comb)
+    r = len(deficits)
     D = math.lcm(nsamples - 1, r)
     ticks = D // r
     T0 = np.arange(r, dtype=np.int64) * ticks
@@ -184,19 +181,17 @@ def check_concavity(L1: GridSet, L2: GridSet, t, samples=(33, 33)) -> CheckRepor
     p, q = frac.numerator, frac.denominator
     comb = combine(L1, L2, frac)
     g = L1.geometry
-    cc, cr = comb.col_counts().astype(np.int64), comb.row_counts().astype(np.int64)
-    c1c, c1r = L1.col_counts().astype(np.int64), L1.row_counts().astype(np.int64)
-    c2c, c2r = L2.col_counts().astype(np.int64), L2.row_counts().astype(np.int64)
-
-    col_def = cc - p * np.repeat(c1c, q) - (q - p) * np.repeat(c2c, q)
-    row_def = cr - p * np.repeat(c1r, q) - (q - p) * np.repeat(c2r, q)
+    col_def, row_def = (
+        counts(comb) - p * np.repeat(counts(L1), q) - (q - p) * np.repeat(counts(L2), q)
+        for counts in (GridSet.col_counts, GridSet.row_counts)
+    )
     xray_margin = min(
         int(col_def.min()) * g.box.height / (g.n * q),
         int(row_def.min()) * g.box.width / (g.m * q),
     )
 
-    ux = _axis_f_margins(cc, c1c, c2c, p, q, px, g.box.width, g.cell_h)
-    vy = _axis_f_margins(cr, c1r, c2r, p, q, py, g.box.height, g.cell_w)
+    ux = _axis_f_margins(col_def, q, px, g.box.width, g.cell_h)
+    vy = _axis_f_margins(row_def, q, py, g.box.height, g.cell_w)
     f_margin = float(ux.min() + vy.min())
 
     margin = min(xray_margin, f_margin)

@@ -80,10 +80,12 @@ def _build_parser() -> argparse.ArgumentParser:
     # argparse looks up sys.stdout/sys.stderr only when it prints
     ap = argparse.ArgumentParser(prog="hvconic", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
+    # argparse reads "--box -1,2,3,4" as two options, hence the "=" form
+    box_help = "reference box; write --box=a,b,c,d when a is negative"
 
     p = sub.add_parser("gen", help="sample a random hv-convex connected set")
     p.add_argument("--dims", type=_dims, required=True, metavar="MxN")
-    p.add_argument("--box", type=_box, required=True, metavar="a,b,c,d")
+    p.add_argument("--box", type=_box, required=True, metavar="a,b,c,d", help=box_help)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--full-box", action="store_true", help="force full-box projections")
     p.add_argument("--out", default=None, metavar="FILE")
@@ -119,7 +121,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=int, default=20)
     p.add_argument("--seed", type=int, default=0, help="base seed of the batch")
     p.add_argument("--dims", type=_dims, default=(8, 8), metavar="MxN")
-    p.add_argument("--box", type=_box, default=Box(0.0, 8.0, 0.0, 8.0), metavar="a,b,c,d")
+    p.add_argument("--box", type=_box, default=Box(0.0, 8.0, 0.0, 8.0), metavar="a,b,c,d",
+                   help=box_help)
     p.add_argument("--t", type=_rational, default=Fraction(1, 2))
     p.add_argument("--samples", type=_dims, default=(33, 33), metavar="PxQ")
     p.add_argument("--eps", type=float, default=0.25)
@@ -135,7 +138,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enum", help="count (or dump) all hv-convex connected sets")
     p.add_argument("--dims", type=_dims, required=True, metavar="MxN")
-    p.add_argument("--box", type=_box, default=None, metavar="a,b,c,d")
+    p.add_argument("--box", type=_box, default=None, metavar="a,b,c,d", help=box_help)
     p.add_argument("--full-box", action="store_true")
     p.add_argument("--dump", default=None, metavar="DIR")
 

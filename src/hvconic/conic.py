@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import GeometryMismatch, InvalidParameter, ZeroMass
+from .errors import FormatError, GeometryMismatch, InvalidParameter, ZeroMass
 from .grid import Box, GridSet
 from .metrics import Bracket
 
@@ -521,8 +521,6 @@ def profile_to_csv(prof: XRayProfile) -> str:
 
 
 def parse_profile_csv(text: str, axis: str) -> XRayProfile:
-    from .errors import FormatError
-
     if not text.endswith("\n"):
         raise FormatError("missing trailing newline")
     lines = text.split("\n")[:-1]
@@ -552,12 +550,17 @@ def parse_profile_csv(text: str, axis: str) -> XRayProfile:
         raise FormatError(str(exc)) from None
 
 
-def field_to_csv(E: ConicEvaluator, box: Box, px: int, py: int) -> str:
+def _sample_field(E: ConicEvaluator, box: Box, px: int, py: int):
+    """The ``px`` by ``py`` lattice over ``box`` and the field's values on it."""
     if px < 2 or py < 2:
         raise InvalidParameter("need at least a 2x2 sample lattice")
     xs = np.linspace(box.a, box.b, px)
     ys = np.linspace(box.c, box.d, py)
-    grid = E.evaluate_grid(xs, ys)
+    return xs, ys, E.evaluate_grid(xs, ys)
+
+
+def field_to_csv(E: ConicEvaluator, box: Box, px: int, py: int) -> str:
+    xs, ys, grid = _sample_field(E, box, px, py)
     rows = ["x,y,f"]
     for i, x in enumerate(xs):
         for j, y in enumerate(ys):
@@ -567,11 +570,7 @@ def field_to_csv(E: ConicEvaluator, box: Box, px: int, py: int) -> str:
 
 def field_to_pgm(E: ConicEvaluator, box: Box, px: int, py: int) -> str:
     """16-bit ASCII PGM of the sampled field, min-max normalized (one way)."""
-    if px < 2 or py < 2:
-        raise InvalidParameter("need at least a 2x2 sample lattice")
-    xs = np.linspace(box.a, box.b, px)
-    ys = np.linspace(box.c, box.d, py)
-    grid = E.evaluate_grid(xs, ys)
+    grid = _sample_field(E, box, px, py)[2]
     lo, hi = float(grid.min()), float(grid.max())
     span = hi - lo
     if span == 0.0:

@@ -127,9 +127,6 @@ class GridGeometry:
     def ylines(self) -> np.ndarray:
         return self.box.c + np.arange(self.n + 1) * self.cell_h
 
-    def cell_rect(self, i: int, j: int) -> tuple[float, float, float, float]:
-        return (self.xline(i), self.xline(i + 1), self.yline(j), self.yline(j + 1))
-
     def refined(self, k: int) -> "GridGeometry":
         if k < 1:
             raise InvalidParameter(f"refinement factor must be >= 1, got {k}")
@@ -315,56 +312,6 @@ def in_sublevel_set(L: GridSet, box: Box) -> bool:
     return box == L.geometry.box or box.contains_box(L.bounding_box())
 
 
-def _axis_sections_ok(lines: np.ndarray) -> bool:
-    # lines: (nlines, length) booleans; every section along a family of
-    # parallel lines must be one run, and runs on adjacent non-empty lines
-    # must meet in the closed sense (index gap of at most one grid line).
-    prev_run = None
-    prev_nonempty = False
-    for bits in lines:
-        idx = np.flatnonzero(bits)
-        if idx.size == 0:
-            prev_nonempty = False
-            continue
-        lo, hi = int(idx[0]), int(idx[-1])
-        if hi - lo + 1 != idx.size:
-            return False
-        if prev_nonempty:
-            plo, phi = prev_run
-            if lo > phi + 1 or plo > hi + 1:
-                return False
-        prev_run = (lo, hi)
-        prev_nonempty = True
-    return True
-
-
-def is_hv_convex(L: GridSet) -> bool:
-    """Every horizontal and vertical section of the closed union is convex.
-
-    Equivalent cell-level conditions: each row and each column of occupied
-    cells is one contiguous run, and the closed coordinate intervals of runs
-    in adjacent non-empty rows (and columns) intersect, touching included.
-    """
-    if L.is_empty:
-        raise EmptySet("hv-convexity is about non-empty sets")
-    return _axis_sections_ok(L.cells.T) and _axis_sections_ok(L.cells)
-
-
-def has_contiguous_runs(L: GridSet) -> bool:
-    """Weaker predicate: every row and column is a single run (no gap)."""
-    if L.is_empty:
-        raise EmptySet("empty set")
-    for bits in L.cells:
-        idx = np.flatnonzero(bits)
-        if idx.size and int(idx[-1]) - int(idx[0]) + 1 != idx.size:
-            return False
-    for bits in L.cells.T:
-        idx = np.flatnonzero(bits)
-        if idx.size and int(idx[-1]) - int(idx[0]) + 1 != idx.size:
-            return False
-    return True
-
-
 def is_connected(L: GridSet) -> bool:
     """Connectivity of the closed cell union.
 
@@ -434,6 +381,92 @@ def _overlap_matrix(lines_a: np.ndarray, lines_b: np.ndarray) -> np.ndarray:
     b_lo = lines_b[None, :-1]
     b_hi = lines_b[None, 1:]
     return ((a_lo < b_hi) & (b_lo < a_hi)).astype(np.int64)
+
+
+# ---------------------------------------------------------------------------
+# the run-bit rule of hv-convexity, on lines of cells held as an int's bits
+
+
+def _line_bits(cells: np.ndarray) -> list:
+    """Occupied positions of each line (row of ``cells``) as an int's bits."""
+    packed = np.packbits(cells, axis=1, bitorder="little")
+    return [int.from_bytes(line.tobytes(), "little") for line in packed]
+
+
+def _is_run(b: int) -> bool:
+    # the set bits of ``b`` are one contiguous run; an empty line counts as one
+    return not b & (b + (b & -b))
+
+
+def _touch(a: int, b: int) -> bool:
+    # whether the runs ``a`` and ``b`` overlap or meet at a corner
+    return (a | a << 1 | a >> 1) & b != 0
+
+
+def _sections_ok(lines: list) -> bool:
+    """Every line is one run, and the runs of adjacent non-empty lines
+    meet in the closed sense (overlap or share a corner)."""
+    prev = 0
+    for b in lines:
+        if not _is_run(b) or (prev and b and not _touch(prev, b)):
+            return False
+        prev = b
+    return True
+
+
+def is_hv_convex(L: GridSet) -> bool:
+    """Every horizontal and vertical section of the closed union is convex.
+
+    Equivalent cell-level conditions: each row and each column of occupied
+    cells is one contiguous run, and the closed coordinate intervals of runs
+    in adjacent non-empty rows (and columns) intersect, touching included.
+    """
+    if L.is_empty:
+        raise EmptySet("hv-convexity is about non-empty sets")
+    return _sections_ok(_line_bits(L.cells.T)) and _sections_ok(_line_bits(L.cells))
+
+
+def has_contiguous_runs(L: GridSet) -> bool:
+    """Weaker predicate: every row and column is a single run (no gap)."""
+    if L.is_empty:
+        raise EmptySet("empty set")
+    return all(map(_is_run, _line_bits(L.cells) + _line_bits(L.cells.T)))
+
+
+def _line_ok(lines: list, k: int, new: int) -> bool:
+    """Whether line ``k`` of a feasible set, its cells given per line as
+    bits in ``lines``, may become ``new``: the occupied lines stay one
+    contiguous range, and line ``k`` stays empty or one run that touches
+    each occupied neighbour."""
+    prev = lines[k - 1] if k else 0
+    nxt = lines[k + 1] if k + 1 < len(lines) else 0
+    if not new:
+        # cells must stay on exactly one side: none left empties the set,
+        # both sides splits it
+        return bool(prev) != bool(nxt)
+    if not _is_run(new):
+        return False
+    if not (prev or nxt):
+        return lines[k] != 0  # alone already, or a newly filled line off the set
+    return (not prev or _touch(new, prev)) and (not nxt or _touch(new, nxt))
+
+
+def _toggle_ok(cols: list, rows: list, i: int, j: int, full_box: bool) -> bool:
+    """Whether toggling cell ``(i, j)`` of a feasible set leaves one.
+
+    ``cols[i]`` holds the rows of column ``i`` as bits, ``rows[j]`` the
+    columns of row ``j``; only those two lines change.  The toggled set is
+    non-empty, hv-convex and connected exactly when both new lines pass
+    ``_line_ok``: hv-convexity involves only the changed lines and their
+    neighbours, and an hv-convex set whose occupied columns form one range
+    is connected (its column runs touch in turn).  A full box only loses a
+    projection by emptying a line.
+    """
+    col = cols[i] ^ (1 << j)
+    row = rows[j] ^ (1 << i)
+    if full_box and not (col and row):
+        return False
+    return _line_ok(cols, i, col) and _line_ok(rows, j, row)
 
 
 # ---------------------------------------------------------------------------
@@ -620,6 +653,14 @@ def min_cover(L: GridSet, coarse: GridGeometry) -> GridSet:
 # seeded sampling of hv-convex connected sets
 
 
+def _seeded_rng(seed) -> np.random.Generator:
+    """``np.random.default_rng(seed)``; a negative seed raises InvalidParameter."""
+    try:
+        return np.random.default_rng(seed)
+    except ValueError as exc:  # numpy: "expected non-negative integer"
+        raise InvalidParameter(f"bad seed {seed!r}: {exc}") from None
+
+
 def sample_hv_convex(geometry: GridGeometry, seed, require_full_box: bool = False) -> GridSet:
     """Seeded pseudo-random hv-convex connected set on ``geometry``.
 
@@ -629,19 +670,9 @@ def sample_hv_convex(geometry: GridGeometry, seed, require_full_box: bool = Fals
     sets with contiguous column support.  With ``require_full_box`` every
     column is used, the top profile reaches the top of the box and the
     bottom profile its bottom, which forces full projections on both axes.
+    ``seed`` may also be a ``np.random.Generator``, which is drawn from as is.
     """
-    return _sample_with_rng(geometry, _seeded_rng(seed), require_full_box)
-
-
-def _seeded_rng(seed) -> np.random.Generator:
-    """``np.random.default_rng(seed)``; a negative seed raises InvalidParameter."""
-    try:
-        return np.random.default_rng(seed)
-    except ValueError as exc:  # numpy: "expected non-negative integer"
-        raise InvalidParameter(f"bad seed {seed!r}: {exc}") from None
-
-
-def _sample_with_rng(geometry: GridGeometry, rng, require_full_box: bool) -> GridSet:
+    rng = _seeded_rng(seed)
     m, n = geometry.m, geometry.n
     if require_full_box:
         i0, i1 = 0, m - 1
@@ -693,24 +724,25 @@ def _sample_with_rng(geometry: GridGeometry, rng, require_full_box: bool) -> Gri
 def _family(m: int, n: int, require_full_box: bool) -> np.ndarray:
     """Read-only ``(F, m, n)`` cell masks of every feasible set on an
     ``m x n`` grid, in ascending order of the bit key ``i * n + j``."""
-    runs = [(lo, hi, ((1 << (hi - lo + 1)) - 1) << lo) for lo in range(n) for hi in range(lo, n)]
+    runs = [((1 << (hi - lo + 1)) - 1) << lo for lo in range(n) for hi in range(lo, n)]
+    touching = {a: [b for b in runs if _touch(a, b)] for a in runs}
     all_rows = (1 << n) - 1
     keys = []
 
-    def extend(i, key, lo, hi, bits, seen, closed):
-        # column i is the last one taken and holds rows lo..hi (``bits``)
+    def extend(i, key, bits, seen, closed):
+        # column i is the last one taken and holds the rows ``bits``
         if not require_full_box or (i == m - 1 and seen == all_rows):
             keys.append(key)
         if i == m - 1:
             return
-        for lo2, hi2, bits2 in runs:
-            if lo2 <= hi + 1 and hi2 >= lo - 1 and not bits2 & closed:
-                extend(i + 1, key | bits2 << ((i + 1) * n), lo2, hi2, bits2,
-                       seen | bits2, closed | (bits & ~bits2))
+        for bits2 in touching[bits]:
+            if not bits2 & closed:
+                extend(i + 1, key | bits2 << ((i + 1) * n), bits2, seen | bits2,
+                       closed | (bits & ~bits2))
 
     for i0 in range(1 if require_full_box else m):
-        for lo, hi, bits in runs:
-            extend(i0, bits << (i0 * n), lo, hi, bits, bits, 0)
+        for bits in runs:
+            extend(i0, bits << (i0 * n), bits, bits, 0)
     keys.sort()
     shifts = np.arange(m * n, dtype=np.uint64)
     codes = np.array(keys, dtype=np.uint64)

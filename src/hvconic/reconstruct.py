@@ -33,12 +33,14 @@ from .grid import (
     GridGeometry,
     GridSet,
     _family,
-    _sample_with_rng,
+    _line_bits,
+    _toggle_ok,
     format_hvset,
     in_level_set,
     is_connected,
     is_hv_convex,
     parse_hvset,
+    sample_hv_convex,
     thin_contact,
 )
 
@@ -292,52 +294,6 @@ def exhaustive(problem: ReconstructionProblem) -> ReconstructionResult:
     return _finish(GridSet(g, family[records[-1]]), problem, trace, len(family), optima)
 
 
-def _touch(a: int, b: int) -> bool:
-    # whether the runs ``a`` and ``b`` overlap or meet at a corner
-    return (a | a << 1 | a >> 1) & b != 0
-
-
-def _line_ok(lines: list, k: int, new: int) -> bool:
-    """Whether line ``k`` of a feasible set, its cells given per line as
-    bits in ``lines``, may become ``new``: the occupied lines stay one
-    contiguous range, and line ``k`` stays empty or one run that touches
-    each occupied neighbour."""
-    prev = lines[k - 1] if k else 0
-    nxt = lines[k + 1] if k + 1 < len(lines) else 0
-    if not new:
-        # cells must stay on exactly one side: none left empties the set,
-        # both sides splits it
-        return bool(prev) != bool(nxt)
-    if new & (new + (new & -new)):
-        return False  # not one run
-    if not (prev or nxt):
-        return lines[k] != 0  # alone already, or a newly filled line off the set
-    return (not prev or _touch(new, prev)) and (not nxt or _touch(new, nxt))
-
-
-def _toggle_ok(cols: list, rows: list, i: int, j: int, full_box: bool) -> bool:
-    """Whether toggling cell ``(i, j)`` of a feasible set leaves one.
-
-    ``cols[i]`` holds the rows of column ``i`` as bits, ``rows[j]`` the
-    columns of row ``j``; only those two lines change.  The toggled set is
-    non-empty, hv-convex and connected exactly when both new lines pass
-    ``_line_ok``: hv-convexity involves only the changed lines and their
-    neighbours, and an hv-convex set whose occupied columns form one range
-    is connected (its column runs touch in turn).  A full box only loses a
-    projection by emptying a line.
-    """
-    col = cols[i] ^ (1 << j)
-    row = rows[j] ^ (1 << i)
-    if full_box and not (col and row):
-        return False
-    return _line_ok(cols, i, col) and _line_ok(rows, j, row)
-
-
-def _line_bits(cells: np.ndarray) -> list:
-    """Occupied positions of each line (row of ``cells``) as an int's bits."""
-    return [sum(1 << int(k) for k in np.flatnonzero(line)) for line in cells]
-
-
 def _bits_to_cells(cols: list, n: int) -> np.ndarray:
     return np.array([[(c >> j) & 1 for j in range(n)] for c in cols], dtype=bool)
 
@@ -366,7 +322,7 @@ def local_search(problem: ReconstructionProblem, params: AnnealingParams) -> Rec
     chains = params.restarts + 1
     for chain in range(chains):
         rng = np.random.default_rng([params.seed, chain])
-        start = _sample_with_rng(g, rng, full_box)
+        start = sample_hv_convex(g, rng, full_box)
         cols, rows = _line_bits(start.cells), _line_bits(start.cells.T)
         ccounts = [c.bit_count() for c in cols]
         rcounts = [r.bit_count() for r in rows]

@@ -65,6 +65,22 @@ def test_gen_full_box_to_stdout(capsys):
     assert hv.in_level_set(L, hv.Box(0, 4, 0, 4))
 
 
+def test_negative_box_in_equals_form(capsys):
+    # "--box -1.5,..." reads as an option to argparse; the "=" form works
+    code, out, _ = invoke(capsys, "gen", "--dims", "3x3", "--box=-1.5,2,3,7.5")
+    assert code == 0 and out.splitlines()[1] == "box -1.5 2.0 3.0 7.5"
+    code, _, _ = invoke(capsys, "verify", "stability", "--seeds", "1", "--dims", "3x3",
+                        "--box=-1.5,2,3,7.5")
+    assert code == 0
+    code, out, _ = invoke(capsys, "enum", "--dims", "2x2", "--box=-1.5,2,3,7.5")
+    assert code == 0 and out.strip() == "15"
+    for sub in ("gen", "xray", "conic", "dist", "verify", "reconstruct", "enum"):
+        code, out, _ = invoke(capsys, sub, "--help")
+        assert code == 0 and out.startswith(f"usage: hvconic {sub}")
+    code, out, _ = invoke(capsys, "--help")
+    assert code == 0 and out.startswith("usage: hvconic")
+
+
 def test_xray_writes_profiles(tmp_path, capsys):
     src = tmp_path / "L.hvset"
     invoke(capsys, "gen", "--dims", "4x4", "--box", "0,4,0,4", "--out", str(src))

@@ -164,6 +164,47 @@ def test_predicates_match_oracle_exhaustively(m, n):
         assert hv.is_connected(L) == ref_connected(occ)
 
 
+def ref_contiguous_runs(cells) -> bool:
+    """Every row and column of a cell mask is empty or one run."""
+    for line in [*cells, *cells.T]:
+        idx = [k for k, v in enumerate(line) if v]
+        if idx and idx[-1] - idx[0] + 1 != len(idx):
+            return False
+    return True
+
+
+LONG_SHAPES = [s for long in (9, 64, 65, 130) for k in (1, 3) for s in ((long, k), (k, long))]
+
+
+@pytest.mark.parametrize("m,n", LONG_SHAPES)
+def test_predicates_match_oracle_on_long_lines(m, n):
+    # lines longer than one byte (and than 64 bits) of the packed run bits:
+    # random masks, sampled sets, and sampled sets with one cell toggled,
+    # some of them at the byte and word boundaries of the long axis
+    geo = hv.GridGeometry(hv.Box(0, m, 0, n), m, n)
+    rng = np.random.default_rng([m, n])
+    masks = [rng.random((m, n)) < p for p in (0.05, 0.5, 0.95) for _ in range(5)]
+    cuts = [k for k in (0, 7, 8, 63, 64, 65, 128) if k < max(m, n)]
+    for seed in range(10):
+        base = hv.sample_hv_convex(geo, seed, require_full_box=seed % 2 == 1).cells
+        masks.append(base)
+        for cell in [*rng.integers(0, m * n, size=4), *(k * n if m > n else k for k in cuts)]:
+            toggled = base.copy()
+            toggled.flat[cell] = not toggled.flat[cell]
+            masks.append(toggled)
+    verdicts = set()
+    for cells in masks:
+        if not cells.any():
+            continue
+        L = hv.GridSet(geo, cells)
+        occ = {(int(i), int(j)) for i, j in np.argwhere(cells)}
+        convex = hv.is_hv_convex(L)
+        verdicts.add(convex)
+        assert convex == ref_hv_convex(occ, m, n), cells
+        assert hv.has_contiguous_runs(L) == ref_contiguous_runs(cells), cells
+    assert verdicts == {False, True}
+
+
 def test_projections_and_membership():
     L = hv.GridSet.from_cells(GEO44, [(1, 1), (1, 2), (2, 2)])
     xs, ys = hv.projections(L)

@@ -9,14 +9,12 @@ import hvconic as hv
 from hvconic import reconstruct
 from hvconic.conic import _FieldDiff
 from hvconic.errors import FormatError, GeometryMismatch, InvalidParameter, TooLarge
-from hvconic.grid import _family
+from hvconic.grid import _family, _line_bits, _toggle_ok
 from hvconic.reconstruct import (
     _check_feasible,
     _family_counts,
-    _line_bits,
     _search_score,
     _SupScore,
-    _toggle_ok,
 )
 
 GEO22 = hv.GridGeometry(hv.Box(0.0, 2.0, 0.0, 2.0), 2, 2)
