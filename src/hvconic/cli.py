@@ -19,11 +19,12 @@ import numpy as np
 
 from . import checks
 from .conic import conic_of, field_to_csv, field_to_pgm, profile_to_csv, xray_h, xray_v
-from .errors import ConicError
+from .errors import ConicError, InvalidParameter
 from .grid import (
     Box,
     GridGeometry,
     _seeded_rng,
+    count_hv_connected,
     enumerate_hv_connected,
     format_hvset,
     parse_hvset,
@@ -191,6 +192,8 @@ def _verify_reports(args):
     m, n = args.dims
     geo = GridGeometry(args.box, m, n)
     base = args.seed
+    if args.seeds < 1:
+        raise InvalidParameter(f"seeds must be a positive integer, got {args.seeds}")
     if args.mode == "remark2":
         yield checks.reproduce_remark2()
         return
@@ -203,7 +206,8 @@ def _verify_reports(args):
             yield checks.check_area_superadditivity(L1, L2, args.t)
         elif args.mode == "dilation":
             L = sample_hv_convex(geo, [base, k])
-            yield checks.check_dilation_bound(L, args.eps, refine=args.refine or 8)
+            yield checks.check_dilation_bound(
+                L, args.eps, refine=8 if args.refine is None else args.refine)
         elif args.mode == "stability":
             L1, L2 = _pair(geo, base, k, False)
             yield checks.check_stability_bound(L1, L2, subsamples=args.subsamples)
@@ -223,7 +227,8 @@ def _verify_reports(args):
             xs = np.cumsum(rng.uniform(0.2, 1.0, args.segments + 1))
             ys = rng.uniform(0.0, 2.0, args.segments + 1)
             P = Polyline(zip(xs, ys))  # x-monotone, hence simple
-            yield checks.check_polyline_bound(P, args.eps, refine=args.refine or 64)
+            yield checks.check_polyline_bound(
+                P, args.eps, refine=64 if args.refine is None else args.refine)
 
 
 def _cmd_verify(args) -> int:
@@ -253,13 +258,11 @@ def _cmd_enum(args) -> int:
     m, n = args.dims
     box = args.box or Box(0.0, float(m), 0.0, float(n))
     geo = GridGeometry(box, m, n)
-    count = 0
-    for L in enumerate_hv_connected(geo, require_full_box=args.full_box):
-        if args.dump is not None:
-            os.makedirs(args.dump, exist_ok=True)
-            path = os.path.join(args.dump, f"set{count:06d}.hvset")
-            _write_text(path, format_hvset(L))
-        count += 1
+    count = count_hv_connected(geo, require_full_box=args.full_box)
+    if args.dump is not None:
+        os.makedirs(args.dump, exist_ok=True)
+        for k, L in enumerate(enumerate_hv_connected(geo, require_full_box=args.full_box)):
+            _write_text(os.path.join(args.dump, f"set{k:06d}.hvset"), format_hvset(L))
     print(count)
     return 0
 

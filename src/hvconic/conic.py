@@ -561,10 +561,10 @@ def _sample_field(E: ConicEvaluator, box: Box, px: int, py: int):
 
 def field_to_csv(E: ConicEvaluator, box: Box, px: int, py: int) -> str:
     xs, ys, grid = _sample_field(E, box, px, py)
+    y_reprs = list(map(repr, ys.tolist()))
     rows = ["x,y,f"]
-    for i, x in enumerate(xs):
-        for j, y in enumerate(ys):
-            rows.append(f"{float(x)!r},{float(y)!r},{float(grid[i, j])!r}")
+    for x, column in zip(map(repr, xs.tolist()), grid.tolist()):
+        rows += [f"{x},{y},{f!r}" for y, f in zip(y_reprs, column)]
     return "\n".join(rows) + "\n"
 
 
@@ -578,6 +578,6 @@ def field_to_pgm(E: ConicEvaluator, box: Box, px: int, py: int) -> str:
     else:
         levels = np.rint((grid - lo) / span * 65535).astype(np.int64)
     lines = ["P2", f"{px} {py}", "65535"]
-    for j in range(py - 1, -1, -1):  # top row of the image is the top of the box
-        lines.append(" ".join(str(int(levels[i, j])) for i in range(px)))
+    # top row of the image is the top of the box
+    lines += [" ".join(map(str, row)) for row in levels.T[::-1].tolist()]
     return "\n".join(lines) + "\n"

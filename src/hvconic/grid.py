@@ -751,6 +751,19 @@ def _family(m: int, n: int, require_full_box: bool) -> np.ndarray:
     return cells
 
 
+def _guarded_family(geometry: GridGeometry, require_full_box: bool) -> np.ndarray:
+    m, n = geometry.m, geometry.n
+    if m * n > 20:
+        raise TooLarge(f"{m}x{n} grid exceeds the enumeration guard of 20 cells")
+    return _family(m, n, bool(require_full_box))
+
+
+def count_hv_connected(geometry: GridGeometry, require_full_box: bool = False) -> int:
+    """Number of sets :func:`enumerate_hv_connected` yields, read from the
+    cached family without building any :class:`GridSet`; same guard."""
+    return len(_guarded_family(geometry, require_full_box))
+
+
 def enumerate_hv_connected(geometry: GridGeometry, require_full_box: bool = False):
     """Yield every hv-convex connected set on ``geometry`` exactly once.
 
@@ -760,10 +773,7 @@ def enumerate_hv_connected(geometry: GridGeometry, require_full_box: bool = Fals
     column runs and kept in a small cache, so later calls only wrap its
     cell masks.
     """
-    m, n = geometry.m, geometry.n
-    if m * n > 20:
-        raise TooLarge(f"{m}x{n} grid exceeds the enumeration guard of 20 cells")
-    for cells in _family(m, n, bool(require_full_box)):
+    for cells in _guarded_family(geometry, require_full_box):
         yield GridSet(geometry, cells)
 
 
@@ -779,8 +789,7 @@ def format_hvset(L: GridSet) -> str:
         f"box {g.box.a!r} {g.box.b!r} {g.box.c!r} {g.box.d!r}",
         f"dims {g.m} {g.n}",
     ]
-    for j in range(g.n - 1, -1, -1):
-        lines.append("".join("1" if L.cells[i, j] else "0" for i in range(g.m)))
+    lines += ["".join(row) for row in np.where(L.cells.T[::-1], "1", "0").tolist()]
     return "\n".join(lines) + "\n"
 
 

@@ -38,6 +38,26 @@ def test_enum_dump(tmp_path, capsys):
     assert len(set(parsed)) == 3
 
 
+@pytest.mark.parametrize("full_box", [False, True])
+def test_enum_count_matches_enumeration(tmp_path, capsys, full_box):
+    shapes = [(m, n) for m in range(1, 13) for n in range(1, 13) if m * n <= 12]
+    flag = ["--full-box"] if full_box else []
+    for m, n in shapes + [(4, 4), (4, 5)]:
+        geo = hv.GridGeometry(hv.Box(0.0, float(m), 0.0, float(n)), m, n)
+        members = list(hv.enumerate_hv_connected(geo, require_full_box=full_box))
+        code, out, err = invoke(capsys, "enum", "--dims", f"{m}x{n}", *flag)
+        assert (code, out, err) == (0, f"{len(members)}\n", "")
+        assert hv.count_hv_connected(geo, require_full_box=full_box) == len(members)
+        if m * n > 12:
+            continue
+        dump = tmp_path / f"{m}x{n}"
+        code, out, _ = invoke(capsys, "enum", "--dims", f"{m}x{n}", *flag, "--dump", str(dump))
+        assert (code, out) == (0, f"{len(members)}\n")
+        files = sorted(dump.iterdir())
+        assert [f.name for f in files] == [f"set{k:06d}.hvset" for k in range(len(members))]
+        assert [f.read_text(encoding="utf-8") for f in files] == [hv.format_hvset(L) for L in members]
+
+
 def test_gen_round_trip(tmp_path, capsys):
     out_file = tmp_path / "L.hvset"
     code, _, _ = invoke(
@@ -330,6 +350,12 @@ ERROR_ROWS = {
                           "PreconditionViolated"),
     "nan-temperature": (["reconstruct", "nan.json"], "InvalidParameter"),
     "inf-temperature": (["reconstruct", "inf.json"], "InvalidParameter"),
+    "zero-seeds": (["verify", "stability", "--seeds", "0"], "InvalidParameter"),
+    "negative-seeds": (["verify", "remark2", "--seeds", "-3"], "InvalidParameter"),
+    "zero-refine-dilation": (["verify", "dilation", "--seeds", "1", "--refine", "0"],
+                             "InvalidParameter"),
+    "zero-refine-polyline": (["verify", "polyline", "--seeds", "1", "--refine", "0"],
+                             "InvalidParameter"),
 }
 
 

@@ -412,6 +412,41 @@ def test_field_csv():
     assert f == pytest.approx(E.evaluate(x, y), rel=1e-13)
 
 
+# sha256 of the CSV and PGM exports, frozen from the per-sample writers
+FROZEN_FIELD_SETS = {
+    "sampled-8x8": lambda: hv.sample_hv_convex(GEO88, 5),
+    "negative-5x4": lambda: hv.sample_hv_convex(
+        hv.GridGeometry(hv.Box(-2.5, 1.0, -1.0, 0.9), 5, 4), 11),
+    "one-cell": lambda: hv.GridSet.from_cells(
+        hv.GridGeometry(hv.Box(1.5, 4.5, 0.0, 3.0), 3, 3), [(1, 2)]),
+}
+FROZEN_FIELD_EXPORTS = {
+    ("sampled-8x8", 2, 5): ("b5bcd0e218fbe20a8b78febaf9da0bd0530f3769bfcd4b7f91af0ba90e1dd93c",
+                            "67520a27c4701fcc7b5d69778dad43c7e05e87e444c8c87fb3cd77f53237bd1b"),
+    ("sampled-8x8", 17, 9): ("3606b8a858460c463643b9ff148489d9c928c153102090ff5bc6fae64baec09b",
+                             "9bd6fb87bfc2fd82fd657787aa8a30254af367c39b6d74b82b3f2510c4d18da5"),
+    ("negative-5x4", 2, 5): ("cb4427f2d70c42c623b9839c6a1b11c50fa748e8c59bd0fed076b332bc1f4b3e",
+                             "5b1691062c81ed8f785da171fbf5cd514e8b809ad63a66f0e7e9fefe31e8952a"),
+    ("negative-5x4", 17, 9): ("e84f1754aa08f54c6da8e132fa0c5347c589dd37354074853cc962c7b028200a",
+                              "67249d8af0d5d8bdd1547dee2b9556a8f683ea51c49a39b5656fe0880fc93e99"),
+    ("one-cell", 2, 5): ("67af8f3c8ca412b61ad1bfae4c5e040d46737567d0bd7193f47df508c65d5960",
+                         "20d7b6e7e4308b406c06c77106eb7d0c618d9a9c542bee5a97e85d8d7dcabc8e"),
+    ("one-cell", 17, 9): ("cd545c59659d687f5e4fb97134e1713dc43615281917c53324778408b2a9ed81",
+                          "fc517f4a6541cd9618d23815d66a6e382c1831ecd1d70d523af7e6f4568aaecd"),
+}
+
+
+@pytest.mark.parametrize("key", list(FROZEN_FIELD_EXPORTS), ids=lambda k: "-".join(map(str, k)))
+def test_field_exports_frozen(key):
+    name, px, py = key
+    L = FROZEN_FIELD_SETS[name]()
+    E = hv.conic_of(L)
+    csv = hv.field_to_csv(E, L.geometry.box, px, py)
+    pgm = hv.field_to_pgm(E, L.geometry.box, px, py)
+    digests = tuple(hashlib.sha256(t.encode()).hexdigest() for t in (csv, pgm))
+    assert digests == FROZEN_FIELD_EXPORTS[key]
+
+
 def test_field_pgm():
     E = unit_field()
     text = hv.field_to_pgm(E, hv.Box(0, 1, 0, 2), 4, 5)

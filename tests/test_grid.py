@@ -5,6 +5,7 @@ are deliberately written in plain sets-and-loops style, independent of the
 vectorized code under test.
 """
 
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -490,6 +491,38 @@ def test_family_cache_is_read_only():
 
 # ---------------------------------------------------------------------------
 # text format
+
+
+# sha256 of four random masks per shape, formatted by the per-cell writer
+# this was frozen from; the rows are listed top y first
+FROZEN_HVSET = {
+    "1x6": ((0.0, 1.0, 0.0, 6.0), 1, 6,
+            "92090ee7d952a2d04d4d2c1955b8a5ee127f3f98c572fbb65655d1f0d8475b6d"),
+    "6x1": ((0.0, 6.0, 0.0, 1.0), 6, 1,
+            "059b77ab7aaf1b35b472b97796ce206aa1520ce9def63fde5b18ea23f313942e"),
+    "1x1": ((0.0, 1.0, 0.0, 1.0), 1, 1,
+            "e18e5ad3b88b3485c2ce2e3244e8d8541790bd5601acebe53a430f7d0d18a40a"),
+    "off-origin-5x3": ((2.5, 7.5, 1.25, 4.0), 5, 3,
+                       "829b9335010d6bbe579552aea40472485f56f71542fe51b4b18e47c8d7b0a8b0"),
+    "negative-4x7": ((-1.5, 2.5, -3.0, -0.5), 4, 7,
+                     "aad87f0592ece1af5e742cf9c5ba9f36d5a9d8df5e8c91b104fee98ff6249afc"),
+    "tenths-3x3": ((0, 0.9, 0, 0.9), 3, 3,
+                   "d6169faa5c2153fafb1a0b991df2c0bab12343eea4803c5cbd70adc6247f7eb2"),
+    "16x16": ((0.0, 16.0, 0.0, 16.0), 16, 16,
+              "d361c6bf470c2323c6bf30b624d1af01f60acb21269f9eba3055ddfa4d8c656e"),
+}
+
+
+@pytest.mark.parametrize("name", list(FROZEN_HVSET))
+def test_hvset_format_frozen(name):
+    box, m, n, digest = FROZEN_HVSET[name]
+    geo = hv.GridGeometry(hv.Box(*box), m, n)
+    texts = []
+    for k in range(4):
+        cells = np.random.default_rng([m, n, k]).random((m, n)) < 0.5
+        cells[0, 0] = True
+        texts.append(hv.format_hvset(hv.GridSet(geo, cells)))
+    assert hashlib.sha256("".join(texts).encode()).hexdigest() == digest
 
 
 def test_hvset_round_trip():
