@@ -7,155 +7,22 @@ quantitative properties of those objects, and reconstruction of a set
 from its field by exhaustive search or simulated annealing.
 """
 
-from .checks import (
-    CheckReport,
-    check_area_superadditivity,
-    check_concavity,
-    check_convergence,
-    check_dilation_bound,
-    check_polyline_bound,
-    check_stability_bound,
-    reproduce_remark2,
-)
-from .conic import (
-    ConicEvaluator,
-    XRayProfile,
-    conic_of,
-    conic_value_exact,
-    field_to_csv,
-    field_to_pgm,
-    l1_norm_diff,
-    parse_profile_csv,
-    profile_to_csv,
-    sup_norm_diff,
-    xray_from_conic,
-    xray_h,
-    xray_v,
-    xrays_equal_ae,
-)
-from .errors import (
-    ConicError,
-    CoverageError,
-    EmptySet,
-    FormatError,
-    GeometryMismatch,
-    InvalidParameter,
-    NonSimpleChain,
-    PreconditionViolated,
-    TooLarge,
-    ZeroMass,
-)
-from .grid import (
-    Box,
-    GridGeometry,
-    GridSet,
-    combine,
-    count_hv_connected,
-    dilate,
-    enumerate_hv_connected,
-    format_hvset,
-    has_contiguous_runs,
-    in_level_set,
-    in_sublevel_set,
-    is_connected,
-    is_hv_convex,
-    min_cover,
-    parse_hvset,
-    projections,
-    sample_hv_convex,
-    subset_of,
-    thin_contact,
-)
-from .metrics import (
-    Bracket,
-    Polyline,
-    boundary_chains,
-    dist_p,
-    format_polyline,
-    hausdorff,
-    parse_polyline,
-    tube_area,
-)
-from .reconstruct import (
-    AnnealingParams,
-    ReconstructionProblem,
-    ReconstructionResult,
-    exhaustive,
-    load_problem,
-    local_search,
-    objective,
-    write_result,
-)
+from . import checks, conic, errors, grid, metrics, reconstruct
+from .checks import *
+from .conic import *
+from .errors import *
+from .grid import *
+from .metrics import *
+from .reconstruct import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Box",
-    "GridGeometry",
-    "GridSet",
-    "Bracket",
-    "Polyline",
-    "XRayProfile",
-    "ConicEvaluator",
-    "CheckReport",
-    "ReconstructionProblem",
-    "AnnealingParams",
-    "ReconstructionResult",
-    "ConicError",
-    "InvalidParameter",
-    "GeometryMismatch",
-    "EmptySet",
-    "CoverageError",
-    "TooLarge",
-    "ZeroMass",
-    "PreconditionViolated",
-    "NonSimpleChain",
-    "FormatError",
-    "projections",
-    "in_level_set",
-    "in_sublevel_set",
-    "is_hv_convex",
-    "has_contiguous_runs",
-    "is_connected",
-    "thin_contact",
-    "subset_of",
-    "combine",
-    "dilate",
-    "min_cover",
-    "sample_hv_convex",
-    "count_hv_connected",
-    "enumerate_hv_connected",
-    "format_hvset",
-    "parse_hvset",
-    "dist_p",
-    "hausdorff",
-    "tube_area",
-    "boundary_chains",
-    "format_polyline",
-    "parse_polyline",
-    "xray_v",
-    "xray_h",
-    "conic_of",
-    "xray_from_conic",
-    "sup_norm_diff",
-    "l1_norm_diff",
-    "xrays_equal_ae",
-    "conic_value_exact",
-    "profile_to_csv",
-    "parse_profile_csv",
-    "field_to_csv",
-    "field_to_pgm",
-    "check_concavity",
-    "check_area_superadditivity",
-    "reproduce_remark2",
-    "check_dilation_bound",
-    "check_stability_bound",
-    "check_convergence",
-    "check_polyline_bound",
-    "objective",
-    "exhaustive",
-    "local_search",
-    "load_problem",
-    "write_result",
+    *grid.__all__,
+    *metrics.__all__,
+    *conic.__all__,
+    *checks.__all__,
+    *reconstruct.__all__,
+    *errors.__all__,
     "__version__",
 ]

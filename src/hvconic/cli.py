@@ -194,6 +194,8 @@ def _verify_reports(args):
     base = args.seed
     if args.seeds < 1:
         raise InvalidParameter(f"seeds must be a positive integer, got {args.seeds}")
+    if args.mode == "polyline" and args.segments < 1:
+        raise InvalidParameter(f"segments must be a positive integer, got {args.segments}")
     if args.mode == "remark2":
         yield checks.reproduce_remark2()
         return

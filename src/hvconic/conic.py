@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import FormatError, GeometryMismatch, InvalidParameter, ZeroMass
-from .grid import Box, GridSet
+from .grid import Box, GridSet, _check_raster
 from .metrics import Bracket
 
 __all__ = [
@@ -554,6 +554,7 @@ def _sample_field(E: ConicEvaluator, box: Box, px: int, py: int):
     """The ``px`` by ``py`` lattice over ``box`` and the field's values on it."""
     if px < 2 or py < 2:
         raise InvalidParameter("need at least a 2x2 sample lattice")
+    _check_raster(float(px), float(py))
     xs = np.linspace(box.a, box.b, px)
     ys = np.linspace(box.c, box.d, py)
     return xs, ys, E.evaluate_grid(xs, ys)

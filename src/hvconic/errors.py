@@ -7,6 +7,19 @@ class and map it to a machine-readable failure.
 
 from __future__ import annotations
 
+__all__ = [
+    "ConicError",
+    "InvalidParameter",
+    "GeometryMismatch",
+    "EmptySet",
+    "CoverageError",
+    "TooLarge",
+    "ZeroMass",
+    "PreconditionViolated",
+    "NonSimpleChain",
+    "FormatError",
+]
+
 
 class ConicError(Exception):
     """Base class for all domain errors raised by this package."""

@@ -48,6 +48,7 @@ __all__ = [
     "dilate",
     "min_cover",
     "sample_hv_convex",
+    "count_hv_connected",
     "enumerate_hv_connected",
     "parse_hvset",
     "format_hvset",

@@ -72,6 +72,7 @@ def _directed_bracket(K: GridSet, L: GridSet, s: int) -> Bracket:
     g = K.geometry
     frac = np.arange(s) / (s - 1)
     rects = K.rects()
+    _check_raster(float(len(rects)), float(s) * s)
     xs = rects[:, 0][:, None] + frac[None, :] * g.cell_w  # (k, s)
     ys = rects[:, 2][:, None] + frac[None, :] * g.cell_h
     pts = np.column_stack([np.repeat(xs, s, axis=1).ravel(), np.tile(ys, (1, s)).ravel()])

@@ -342,8 +342,6 @@ def local_search(problem: ReconstructionProblem, params: AnnealingParams) -> Rec
             i, j = divmod(toggles[s], n)
             if _toggle_ok(cols, rows, i, j, full_box):
                 delta = -1 if (cols[i] >> j) & 1 else 1
-                cols[i] ^= 1 << j
-                rows[j] ^= 1 << i
                 ccounts[i] += delta
                 rcounts[j] += delta
                 val = score(ccounts, rcounts)
@@ -351,6 +349,8 @@ def local_search(problem: ReconstructionProblem, params: AnnealingParams) -> Rec
                     T > 0.0 and coins[s] < math.exp((cur - val) / T)
                 )
                 if accept:
+                    cols[i] ^= 1 << j
+                    rows[j] ^= 1 << i
                     cur = val
                     if cur < best_val:
                         best_val = cur
@@ -359,8 +359,6 @@ def local_search(problem: ReconstructionProblem, params: AnnealingParams) -> Rec
                         if best_val == 0.0:
                             break
                 else:
-                    cols[i] ^= 1 << j
-                    rows[j] ^= 1 << i
                     ccounts[i] -= delta
                     rcounts[j] -= delta
             T *= params.cooling

@@ -1,0 +1,63 @@
+"""The public surface of ``import hvconic``, frozen.
+
+Each module's ``__all__`` is its public API and the package re-exports
+exactly the union of those lists, so a name added to or dropped from a
+module shows here.
+"""
+
+import importlib
+
+import pytest
+
+import hvconic
+
+MODULES = ("grid", "metrics", "conic", "checks", "reconstruct", "errors")
+
+PUBLIC = {
+    # grid
+    "Box", "GridGeometry", "GridSet", "projections", "in_level_set", "in_sublevel_set",
+    "is_hv_convex", "is_connected", "has_contiguous_runs", "thin_contact", "subset_of",
+    "combine", "dilate", "min_cover", "sample_hv_convex", "count_hv_connected",
+    "enumerate_hv_connected", "parse_hvset", "format_hvset",
+    # metrics
+    "Bracket", "Polyline", "dist_p", "hausdorff", "tube_area", "boundary_chains",
+    "format_polyline", "parse_polyline",
+    # conic
+    "XRayProfile", "ConicEvaluator", "xray_v", "xray_h", "conic_of", "xray_from_conic",
+    "sup_norm_diff", "l1_norm_diff", "xrays_equal_ae", "conic_value_exact",
+    "profile_to_csv", "parse_profile_csv", "field_to_csv", "field_to_pgm",
+    # checks
+    "CheckReport", "check_concavity", "check_area_superadditivity", "reproduce_remark2",
+    "check_dilation_bound", "check_stability_bound", "check_convergence",
+    "check_polyline_bound",
+    # reconstruct
+    "ReconstructionProblem", "AnnealingParams", "ReconstructionResult", "objective",
+    "exhaustive", "local_search", "load_problem", "write_result",
+    # errors
+    "ConicError", "InvalidParameter", "GeometryMismatch", "EmptySet", "CoverageError",
+    "TooLarge", "ZeroMass", "PreconditionViolated", "NonSimpleChain", "FormatError",
+    "__version__",
+}
+
+
+def test_package_exports_the_frozen_names():
+    assert len(PUBLIC) == 68
+    assert len(hvconic.__all__) == len(set(hvconic.__all__))
+    assert set(hvconic.__all__) == PUBLIC
+
+
+@pytest.mark.parametrize("mod", MODULES)
+def test_module_all_names_exist(mod):
+    module = importlib.import_module(f"hvconic.{mod}")
+    for name in module.__all__:
+        assert hasattr(module, name), f"hvconic.{mod}.__all__ names missing {name!r}"
+
+
+def test_each_export_is_its_defining_module_object():
+    homes = {f"hvconic.{mod}" for mod in MODULES}
+    for name in PUBLIC - {"__version__"}:
+        obj = getattr(hvconic, name)
+        home = importlib.import_module(obj.__module__)
+        assert home.__name__ in homes, name
+        assert getattr(home, name) is obj, name
+        assert name in home.__all__, name

@@ -341,6 +341,9 @@ EMPTY_HVSET = "HVSET v1\nbox 0.0 2.0 0.0 2.0\ndims 2 2\n00\n00\n"
 ERROR_ROWS = {
     "bad-header": (["xray", "bad.hvset"], "FormatError"),
     "small-lattice": (["conic", "good.hvset", "--samples", "1x5"], "InvalidParameter"),
+    "huge-lattice": (["conic", "good.hvset", "--samples", "1000000x1000000"], "TooLarge"),
+    "huge-subsamples": (["dist", "good.hvset", "corner.hvset", "--subsamples", "1000000"],
+                        "TooLarge"),
     "empty-dist": (["dist", "empty.hvset", "good.hvset"], "EmptySet"),
     "empty-conic": (["conic", "empty.hvset", "--samples", "3x3"], "ZeroMass"),
     "empty-target": (["reconstruct", "empty.json"], "ZeroMass"),
@@ -356,6 +359,8 @@ ERROR_ROWS = {
                              "InvalidParameter"),
     "zero-refine-polyline": (["verify", "polyline", "--seeds", "1", "--refine", "0"],
                              "InvalidParameter"),
+    "negative-segments": (["verify", "polyline", "--seeds", "1", "--segments", "-5"],
+                          "InvalidParameter"),
 }
 
 
@@ -366,6 +371,8 @@ def test_domain_error_reports_class(tmp_path, capsys, monkeypatch, argv, cls):
     (tmp_path / "bad.hvset").write_text("HVSET v9\n", encoding="utf-8")
     (tmp_path / "good.hvset").write_text(hv.format_hvset(hv.GridSet.full(geo)), encoding="utf-8")
     (tmp_path / "empty.hvset").write_text(EMPTY_HVSET, encoding="utf-8")
+    (tmp_path / "corner.hvset").write_text(
+        hv.format_hvset(hv.GridSet.from_cells(geo, [(0, 0)])), encoding="utf-8")
     for name, target, dims, budget in (
         ("empty", "empty.hvset", [2, 2], {}),
         ("big", "good.hvset", [5, 4], {}),
