@@ -250,9 +250,9 @@ def _cmd_verify(args) -> int:
 def _cmd_reconstruct(args) -> int:
     problem, params, out_prefix = load_problem(args.problem)
     result = exhaustive(problem) if args.oracle else local_search(problem, params)
-    _hv, js = write_result(result, out_prefix)
-    with open(js, encoding="utf-8") as fh:
-        sys.stdout.write(fh.read())
+    write_result(result, out_prefix)
+    # the .json file's exact text
+    sys.stdout.write(result._summary())
     return 0
 
 

@@ -185,12 +185,13 @@ def _coeffs(p, ts: np.ndarray):
     A = _at(v, k)
     B = 2.0 * _at(M, k) - 2.0 * A * line - mtot
     C = A * line**2 - 2.0 * _at(S, k) + stot
-    left, right = k < 0, k >= r
-    np.copyto(A, 0.0, where=left | right)
-    np.copyto(B, -mtot, where=left)
-    np.copyto(C, stot, where=left)
-    np.copyto(B, mtot, where=right)
-    np.copyto(C, -stot, where=right)
+    if k.size and (k.min() < 0 or k.max() >= r):
+        left, right = k < 0, k >= r
+        np.copyto(A, 0.0, where=left | right)
+        np.copyto(B, -mtot, where=left)
+        np.copyto(C, stot, where=left)
+        np.copyto(B, mtot, where=right)
+        np.copyto(C, -stot, where=right)
     return A, B, C
 
 
@@ -316,7 +317,8 @@ class _FieldDiff:
     difference is a quadratic on every interval of the merged breakpoint
     partition, which is built once here, with the reference's coefficients
     at the interval midpoints: ``axes[k]`` holds ``(lines, reference
-    profile, partition, midpoints, (A, B, C))``.
+    profile, partition, midpoints, (A, B, C))``.  The reference's l1
+    terms are kept per ``(axis, refine)`` on first use.
     """
 
     def __init__(self, xlines: np.ndarray, ylines: np.ndarray, ref: ConicEvaluator, box: Box):
@@ -327,11 +329,17 @@ class _FieldDiff:
             pts = pts[(pts >= lo) & (pts <= hi)]
             mids = 0.5 * (pts[:-1] + pts[1:])
             self.axes.append((lines, rprof, pts, mids, _coeffs(rprof, mids)))
+        self._l1_ref: dict = {}
+
+    @staticmethod
+    def profiles(lines: np.ndarray, vals: np.ndarray) -> _Stack:
+        """Profiles on ``lines`` with plateau values ``vals``, stacked
+        along the leading axes of ``vals``."""
+        return _Stack(lines, vals, *_prefix(lines, vals))
 
     def stack(self, axk: int, vals: np.ndarray) -> _Stack:
         """Profiles on axis ``axk``'s lines with plateau values ``vals``."""
-        lines = self.axes[axk][0]
-        return _Stack(lines, vals, *_prefix(lines, vals))
+        return self.profiles(self.axes[axk][0], vals)
 
     def extrema(self, axk: int, p):
         """Exact ``(min, max)`` over the box side of each field's axis term
@@ -363,17 +371,31 @@ class _FieldDiff:
         vmin, vmax = self.extrema(1, yp)
         return _pymax(umax[cinv] + vmax[rinv], -(umin[cinv] + vmin[rinv]))
 
+    def _l1_reference(self, axk: int, refine: int):
+        """The reference's share of :meth:`l1_terms`, built once per
+        ``(axk, refine)``: quadrature weights and points, the reference
+        term at those points, and its slopes at the partition points and
+        midpoints."""
+        hit = self._l1_ref.get((axk, refine))
+        if hit is None:
+            _, rprof, pts, mids, rcoef = self.axes[axk]
+            w = np.repeat(np.diff(pts), refine) / refine
+            qs = np.repeat(pts[:-1], refine) + (np.tile(np.arange(refine), len(pts) - 1) + 0.5) * w
+            hit = self._l1_ref[axk, refine] = (
+                w, qs, _value(_coeffs(rprof, qs), qs),
+                _slope(_coeffs(rprof, pts), pts), _slope(rcoef, mids))
+        return hit
+
     def l1_terms(self, axk: int, p, refine: int):
         """Quadrature weights on the partition, each piece split ``refine``
         times; each field's axis-term difference at the quadrature points;
         and its bound on the slope difference, which is piecewise linear
         and so extremal one-sided at the partition points."""
-        _, rprof, pts, mids, rcoef = self.axes[axk]
-        w = np.repeat(np.diff(pts), refine) / refine
-        qs = np.repeat(pts[:-1], refine) + (np.tile(np.arange(refine), len(pts) - 1) + 0.5) * w
-        diff = _value(_coeffs(p, qs), qs) - _value(_coeffs(rprof, qs), qs)
-        gap_pts = np.abs(_slope(_coeffs(p, pts), pts) - _slope(_coeffs(rprof, pts), pts))
-        gap_mids = np.abs(_slope(_coeffs(p, mids), mids) - _slope(rcoef, mids))
+        _, _, pts, mids, _ = self.axes[axk]
+        w, qs, ref_qs, ref_pts, ref_mids = self._l1_reference(axk, refine)
+        diff = _value(_coeffs(p, qs), qs) - ref_qs
+        gap_pts = np.abs(_slope(_coeffs(p, pts), pts) - ref_pts)
+        gap_mids = np.abs(_slope(_coeffs(p, mids), mids) - ref_mids)
         return w, diff, _pymax(gap_pts.max(axis=-1), gap_mids.max(axis=-1))
 
     def l1(self, xp, yp, refine: int, cinv, rinv):
@@ -425,7 +447,7 @@ def l1_norm_diff(E1: ConicEvaluator, E2: ConicEvaluator, box: Box, refine: int =
     each piece split ``refine`` times, plus a Lipschitz error bound from
     the exact slope ranges of the two separated terms.
     """
-    if refine < 1 or int(refine) != refine:
+    if not (refine >= 1 and refine % 1 == 0):
         raise InvalidParameter(f"refine must be a positive integer, got {refine}")
     diff = _FieldDiff(E1.yprofile.breakpoints, E1.xprofile.breakpoints, E2, box)
     one = np.zeros(1, dtype=np.intp)
@@ -554,7 +576,7 @@ def _sample_field(E: ConicEvaluator, box: Box, px: int, py: int):
     """The ``px`` by ``py`` lattice over ``box`` and the field's values on it."""
     if px < 2 or py < 2:
         raise InvalidParameter("need at least a 2x2 sample lattice")
-    _check_raster(float(px), float(py))
+    _check_raster(px, py)
     xs = np.linspace(box.a, box.b, px)
     ys = np.linspace(box.c, box.d, py)
     return xs, ys, E.evaluate_grid(xs, ys)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -547,9 +548,11 @@ def _min_dist_to_rects(points: np.ndarray, rects: np.ndarray, chunk: int = 1 << 
 _RASTER_CELLS = 1 << 24
 
 
-def _check_raster(cols: float, rows: float) -> None:
-    """Raise ``TooLarge`` unless a ``cols`` by ``rows`` raster fits, its
-    sizes given as floats so that an overflow shows here as inf."""
+def _check_raster(cols, rows) -> None:
+    """Raise ``TooLarge`` unless a ``cols`` by ``rows`` raster fits.  The
+    sizes are ints or floats; one beyond float range counts as inf, and so
+    does a product that overflows."""
+    cols, rows = (float(v) if v <= sys.float_info.max else math.inf for v in (cols, rows))
     cells = cols * rows
     if not (math.isfinite(cells) and cells <= _RASTER_CELLS):
         raise TooLarge(f"a {cols:.3g} x {rows:.3g} raster exceeds {_RASTER_CELLS} cells")
@@ -602,6 +605,8 @@ def dilate(L: GridSet, eps: float, refine: int = 4) -> tuple[GridSet, GridSet]:
     if L.is_empty:
         raise EmptySet("cannot dilate the empty set")
     g = L.geometry
+    # the refined box alone must fit, checked before refine meets a float
+    _check_raster(g.m * refine, g.n * refine)
     wr = g.cell_w / refine
     hr = g.cell_h / refine
     delta = 0.5 * math.hypot(wr, hr)

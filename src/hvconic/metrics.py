@@ -70,9 +70,9 @@ def _directed_bracket(K: GridSet, L: GridSet, s: int) -> Bracket:
     if subset_of(K, L):
         return Bracket(0.0, 0.0)
     g = K.geometry
-    frac = np.arange(s) / (s - 1)
     rects = K.rects()
-    _check_raster(float(len(rects)), float(s) * s)
+    _check_raster(len(rects), s * s)
+    frac = np.arange(s) / (s - 1)
     xs = rects[:, 0][:, None] + frac[None, :] * g.cell_w  # (k, s)
     ys = rects[:, 2][:, None] + frac[None, :] * g.cell_h
     pts = np.column_stack([np.repeat(xs, s, axis=1).ravel(), np.tile(ys, (1, s)).ravel()])
@@ -245,6 +245,9 @@ def tube_area(P: Polyline, eps: float, refine: int = 32) -> Bracket:
         raise InvalidParameter(f"tube radius must be finite and positive, got {eps}")
     if refine < 1 or int(refine) != refine:
         raise InvalidParameter(f"refine must be a positive integer, got {refine}")
+    # the tube around one vertex alone spans 2 * refine raster cells a side,
+    # checked before refine meets a float
+    _check_raster(2 * refine, 2 * refine)
     c = eps / refine
     delta = 0.5 * math.sqrt(2.0) * c
     xs, ys = np.array(P.vertices).T

@@ -4,9 +4,12 @@ Minimizes the norm distance between a candidate's field and a target
 field over the feasible family (hv-convex connected cell unions on a
 fixed partition, optionally with full-box projections).  Two engines: an
 exhaustive oracle for small grids that returns every global optimum, and
-seeded simulated annealing for larger ones.  Both report a best set whose
-objective is recomputed through the public evaluation path at the end, so
-a bug in the fast incremental scoring cannot leak into results.
+seeded simulated annealing for larger ones.  Each problem builds one conic
+kernel, on first use, and the engines and :func:`objective` share it.
+Both engines report a best set whose objective is recomputed at the end
+from the set's own X-rays, with the arrays and kernel calls of the public
+norms, so a bug in the family or incremental scoring cannot leak into
+results.
 """
 
 from __future__ import annotations
@@ -19,15 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conic import (
-    ConicEvaluator,
-    _FieldDiff,
-    conic_of,
-    l1_norm_diff,
-    parse_profile_csv,
-    sup_norm_diff,
-)
-from .errors import ConicError, FormatError, GeometryMismatch, InvalidParameter, TooLarge
+from .conic import ConicEvaluator, _FieldDiff, conic_of, parse_profile_csv
+from .errors import ConicError, FormatError, GeometryMismatch, InvalidParameter, TooLarge, ZeroMass
 from .grid import (
     Box,
     GridGeometry,
@@ -74,8 +70,25 @@ class ReconstructionProblem:
             raise InvalidParameter(f"unknown norm {self.norm!r}")
         if self.feasibility not in (FEAS_HV, FEAS_FULL):
             raise InvalidParameter(f"unknown feasibility {self.feasibility!r}")
-        if self.l1_refine < 1:
+        # the rule of l1_norm_diff's refine
+        if not (self.l1_refine >= 1 and self.l1_refine % 1 == 0):
             raise InvalidParameter("l1_refine must be a positive integer")
+
+    @functools.cached_property
+    def _kernel(self) -> _FieldDiff:
+        """The conic kernel of the grid lines against the target, built on
+        first use and shared by both engines and :func:`objective`."""
+        return _FieldDiff(*_grid_lines(self.geometry), self.target, self.geometry.box)
+
+
+@functools.lru_cache(maxsize=8)
+def _grid_lines(geometry: GridGeometry) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only x and y grid lines, taken from the full set's field once
+    per geometry: its profiles pass the public checks (finite, increasing
+    lines; a mass that neither overflows nor vanishes), which the kernel
+    does not repeat for the sets it scores."""
+    E = conic_of(GridSet.full(geometry))
+    return E.yprofile.breakpoints, E.xprofile.breakpoints
 
 
 @dataclass(frozen=True)
@@ -105,6 +118,14 @@ class ReconstructionResult:
     steps: int
     optima: list | None = None
 
+    def _summary(self) -> str:
+        """The text of the ``.json`` summary :func:`write_result` writes."""
+        summary = {"objective": self.objective, "steps": self.steps,
+                   "thin_contact": self.thin_contact}
+        if self.optima is not None:
+            summary["optima"] = len(self.optima)
+        return json.dumps(summary, sort_keys=True) + "\n"
+
 
 def _check_feasible(L: GridSet, problem: ReconstructionProblem) -> None:
     # an engine returning a set outside the family is a bug, caught here
@@ -119,7 +140,7 @@ def _check_feasible(L: GridSet, problem: ReconstructionProblem) -> None:
 def _finish(best: GridSet, problem: ReconstructionProblem, trace: list, steps: int,
             optima: list | None = None) -> ReconstructionResult:
     # both engines end here: the returned set is checked against the
-    # family and rescored through the public path
+    # family and rescored from its own X-rays
     _check_feasible(best, problem)
     return ReconstructionResult(best, objective(best, problem), trace, thin_contact(best), steps,
                                 optima)
@@ -133,11 +154,17 @@ def objective(L: GridSet, problem: ReconstructionProblem) -> float:
     """
     if L.geometry != problem.geometry:
         raise GeometryMismatch("candidate must live on the problem geometry")
-    E = conic_of(L)
-    box = problem.geometry.box
+    if L.is_empty:
+        raise ZeroMass("profiles must carry positive mass")
+    # the arrays conic_of(L) builds, scored as sup_norm_diff and
+    # l1_norm_diff score them, on the problem's one kernel
+    g, kernel = problem.geometry, problem._kernel
+    xp = kernel.stack(0, L.col_counts() * g.cell_h)
+    yp = kernel.stack(1, L.row_counts() * g.cell_w)
     if problem.norm == NORM_SUP:
-        return sup_norm_diff(E, problem.target, box)
-    return l1_norm_diff(E, problem.target, box, refine=problem.l1_refine).upper
+        return float(kernel.sup(xp, yp, (), ()))
+    one = np.zeros(1, dtype=np.intp)
+    return float(kernel.l1(xp, yp, problem.l1_refine, one, one)[1][0])
 
 
 # the scalar sup scorer remembers at most this many count vectors per axis
@@ -150,15 +177,15 @@ class _SupScore:
 
     The merged interval structure shared by every candidate on the fixed
     grid (the candidate breakpoints are always the grid lines) comes from
-    the conic kernel ``_FieldDiff``, built once, and the scalar path
-    mirrors ``_FieldDiff.sup`` term for term, so it is bit-identical to
+    the problem's conic kernel ``_FieldDiff``, and the scalar path mirrors
+    ``_FieldDiff.sup`` term for term, so it is bit-identical to
     ``objective`` on the same candidate.
     """
 
-    def __init__(self, target: ConicEvaluator, geometry: GridGeometry):
-        kernel = _FieldDiff(geometry.xlines(), geometry.ylines(), target, geometry.box)
+    def __init__(self, problem: ReconstructionProblem):
+        g, kernel = problem.geometry, problem._kernel
         self._scalar = []
-        cells = (geometry.cell_h, geometry.cell_w)
+        cells = (g.cell_h, g.cell_w)
         for (lines, _, pts, mids, (tA, tB, tC)), cell in zip(kernel.axes, cells):
             widths = np.diff(lines)
             cmids = 0.5 * (lines[:-1] + lines[1:])
@@ -229,11 +256,10 @@ class _SupScore:
 def _search_score(problem: ReconstructionProblem):
     """The annealer's objective of a set given by its column and row
     counts, bit-identical to ``objective``: the scalar ``_SupScore``, or
-    for l1 a one-row stack through one kernel built for the search."""
-    g = problem.geometry
+    for l1 a one-row stack through the problem's kernel."""
     if problem.norm == NORM_SUP:
-        return _SupScore(problem.target, g)
-    kernel = _FieldDiff(g.xlines(), g.ylines(), problem.target, g.box)
+        return _SupScore(problem)
+    g, kernel = problem.geometry, problem._kernel
     one = np.zeros(1, dtype=np.intp)
 
     def l1(col_counts, row_counts) -> float:
@@ -245,14 +271,20 @@ def _search_score(problem: ReconstructionProblem):
 
 
 @functools.lru_cache(maxsize=8)
-def _family_counts(m: int, n: int, full_box: bool):
-    """Distinct column-count and row-count vectors of a feasible family,
-    plus each member's row index into them (an ``np.unique`` inverse)."""
-    family = _family(m, n, full_box)
+def _family_counts(geometry: GridGeometry, full_box: bool):
+    """The feasible family's distinct column and row X-rays as read-only
+    kernel stacks ``(xp, cinv, yp, rinv)``: member ``k``'s column X-ray is
+    row ``cinv[k]`` of ``xp`` (an ``np.unique`` inverse), its row X-ray
+    row ``rinv[k]`` of ``yp``.  Built once per geometry, like the family."""
+    g = geometry
+    family = _family(g.m, g.n, full_box)
     ucols, cinv = np.unique(family.sum(axis=2), axis=0, return_inverse=True)
     urows, rinv = np.unique(family.sum(axis=1), axis=0, return_inverse=True)
-    out = (ucols, cinv.reshape(-1), urows, rinv.reshape(-1))
-    for arr in out:
+    xlines, ylines = _grid_lines(g)
+    xp = _FieldDiff.profiles(xlines, ucols * g.cell_h)
+    yp = _FieldDiff.profiles(ylines, urows * g.cell_w)
+    out = (xp, cinv.reshape(-1), yp, rinv.reshape(-1))
+    for arr in (*xp, *yp, out[1], out[3]):
         arr.setflags(write=False)
     return out
 
@@ -264,9 +296,10 @@ def exhaustive(problem: ReconstructionProblem) -> ReconstructionResult:
     ``enumerate_hv_connected`` (a search over column runs, built once per
     grid shape), in ascending order of the bit-encoded cell indicator
     (bit ``i*n + j``), which fixes the reported order of tied optima.  The
-    whole family is scored in one vectorized pass of the conic kernel over
-    its distinct column-count and row-count vectors, for either norm: every
-    member's breakpoints are the grid lines, so the partition is shared.
+    whole family is scored in one vectorized pass of the problem's kernel
+    over its distinct column and row X-rays (stacks cached per geometry),
+    for either norm: every member's breakpoints are the grid lines, so the
+    partition is shared.
     For l1 "tied" means the objective brackets overlap the best one; for
     sup ties are exact.
     """
@@ -276,9 +309,8 @@ def exhaustive(problem: ReconstructionProblem) -> ReconstructionResult:
         raise TooLarge(f"{m}x{n} exceeds the exhaustive guard of 16 cells")
     full_box = problem.feasibility == FEAS_FULL
     family = _family(m, n, full_box)
-    ucols, cinv, urows, rinv = _family_counts(m, n, full_box)
-    kernel = _FieldDiff(g.xlines(), g.ylines(), problem.target, g.box)
-    xp, yp = kernel.stack(0, ucols * g.cell_h), kernel.stack(1, urows * g.cell_w)
+    xp, cinv, yp, rinv = _family_counts(g, full_box)
+    kernel = problem._kernel
     if problem.norm == NORM_SUP:
         lower = upper = kernel.sup(xp, yp, cinv, rinv)
     else:
@@ -471,14 +503,6 @@ def write_result(result: ReconstructionResult, out_prefix: str) -> tuple[str, st
     json_path = out_prefix + ".json"
     with open(hvset_path, "w", encoding="utf-8") as fh:
         fh.write(format_hvset(result.best))
-    summary = {
-        "objective": result.objective,
-        "steps": result.steps,
-        "thin_contact": result.thin_contact,
-    }
-    if result.optima is not None:
-        summary["optima"] = len(result.optima)
     with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(result._summary())
     return hvset_path, json_path

@@ -338,6 +338,9 @@ def test_missing_file_is_io_error(capsys):
 EMPTY_HVSET = "HVSET v1\nbox 0.0 2.0 0.0 2.0\ndims 2 2\n00\n00\n"
 
 # id -> (argv, error class); the files are written by the test
+# an integer beyond float range
+HUGE = "9" * 400
+
 ERROR_ROWS = {
     "bad-header": (["xray", "bad.hvset"], "FormatError"),
     "small-lattice": (["conic", "good.hvset", "--samples", "1x5"], "InvalidParameter"),
@@ -361,6 +364,17 @@ ERROR_ROWS = {
                              "InvalidParameter"),
     "negative-segments": (["verify", "polyline", "--seeds", "1", "--segments", "-5"],
                           "InvalidParameter"),
+    "overflow-lattice": (["conic", "good.hvset", "--samples", f"{HUGE}x3"], "TooLarge"),
+    "overflow-subsamples": (["dist", "good.hvset", "corner.hvset", "--subsamples", HUGE],
+                            "TooLarge"),
+    "overflow-subsamples-stability": (["verify", "stability", "--seeds", "1",
+                                       "--subsamples", HUGE], "TooLarge"),
+    "overflow-subsamples-convergence": (["verify", "convergence", "--seeds", "1",
+                                         "--subsamples", HUGE], "TooLarge"),
+    "overflow-refine-dilation": (["verify", "dilation", "--seeds", "1", "--refine", HUGE],
+                                 "TooLarge"),
+    "overflow-refine-polyline": (["verify", "polyline", "--seeds", "1", "--refine", HUGE],
+                                 "TooLarge"),
 }
 
 

@@ -8,7 +8,7 @@ import pytest
 import hvconic as hv
 from hvconic import reconstruct
 from hvconic.conic import _FieldDiff
-from hvconic.errors import FormatError, GeometryMismatch, InvalidParameter, TooLarge
+from hvconic.errors import FormatError, GeometryMismatch, InvalidParameter, TooLarge, ZeroMass
 from hvconic.grid import _family, _line_bits, _toggle_ok
 from hvconic.reconstruct import (
     _check_feasible,
@@ -262,7 +262,7 @@ def test_batch_scorer_matches_scalar_bitwise(geo, full):
     targets += [hv.sample_hv_convex(fine, [43, k], require_full_box=True) for k in range(3)]
     for T in targets:
         target = hv.conic_of(T)
-        scorer = _SupScore(target, geo)
+        scorer = _SupScore(hv.ReconstructionProblem(target, geo))
         kernel = _FieldDiff(geo.xlines(), geo.ylines(), target, geo.box)
         for axk, counts, cell in ((0, cols, geo.cell_h), (1, rows, geo.cell_w)):
             lo, hi = kernel.extrema(axk, kernel.stack(axk, counts * cell))
@@ -276,14 +276,14 @@ def test_batch_scorer_matches_scalar_bitwise(geo, full):
 def test_batch_l1_brackets_match_l1_norm_diff_bitwise(geo, full):
     family = list(hv.enumerate_hv_connected(geo, require_full_box=full))
     fields = [hv.conic_of(L) for L in family]
-    ucols, cinv, urows, rinv = _family_counts(geo.m, geo.n, full)
+    xp, cinv, yp, rinv = _family_counts(geo, full)
     fine = hv.GridGeometry(geo.box, 2 * geo.m + 1, 2 * geo.n + 1)
     targets = [hv.sample_hv_convex(geo, [47, geo.n]),
                hv.sample_hv_convex(fine, [53, geo.n], require_full_box=True)]
 
     def kernel_stacks(target):
         kernel = _FieldDiff(geo.xlines(), geo.ylines(), target, geo.box)
-        return kernel, kernel.stack(0, ucols * geo.cell_h), kernel.stack(1, urows * geo.cell_w)
+        return kernel, xp, yp
 
     for T in targets:
         # the sup norm takes no refine, so once per target
@@ -310,11 +310,11 @@ def test_sup_memo_is_bounded(monkeypatch):
     monkeypatch.setattr(reconstruct, "_MEMO_CAP", 4)
     geo = hv.GridGeometry(hv.Box(0.0, 5.0, 0.0, 5.0), 5, 5)
     target = hv.conic_of(hv.sample_hv_convex(geo, 3))
-    scorer = _SupScore(target, geo)
+    scorer = _SupScore(hv.ReconstructionProblem(target, geo))
     for k in range(40):
         L = hv.sample_hv_convex(geo, [59, k % 23])
         cols, rows = L.col_counts().tolist(), L.row_counts().tolist()
-        assert repr(scorer(cols, rows)) == repr(_SupScore(target, geo)(cols, rows))
+        assert repr(scorer(cols, rows)) == repr(_SupScore(hv.ReconstructionProblem(target, geo))(cols, rows))
         assert max(len(memo) for memo in scorer._memo) <= 4
     # a memo that keeps starting over leaves the annealer's run unchanged
     case = anneal_case((7, 7), (0, 7, 0, 7), 2, tdims=(11, 9))
@@ -514,6 +514,79 @@ def test_l1_search_score_matches_objective(dims, box, refine):
             L = hv.sample_hv_convex(geo, [79, t, k], require_full_box=k % 3 == 0)
             cols, rows = L.col_counts().tolist(), L.row_counts().tolist()
             assert repr(score(cols, rows)) == repr(hv.objective(L, prob))
+
+
+@pytest.mark.parametrize(
+    "dims,box",
+    [((4, 4), (0, 4, 0, 4)), ((5, 3), BOX_OFF), ((6, 6), (0, 0.9, 0, 0.9)),
+     ((3, 7), (-2.5, 1.25, 0.5, 4.0))],
+)
+def test_objective_matches_public_norms(dims, box):
+    # objective scores the set's own X-rays on the problem's kernel; the
+    # public path builds its field and a kernel of its own: on-grid,
+    # finer-grid and off-grid CSV targets, sup and l1 at refines 1, 4, 7
+    geo = hv.GridGeometry(hv.Box(*box), *dims)
+    fine = hv.GridGeometry(geo.box, 2 * geo.m + 1, 2 * geo.n + 1)
+    targets = [hv.conic_of(hv.sample_hv_convex(geo, [83, geo.m])),
+               hv.conic_of(hv.sample_hv_convex(fine, [89, geo.n], require_full_box=True)),
+               _off_grid_csv_target(geo, geo.m + geo.n)]
+    for t, target in enumerate(targets):
+        probs = [hv.ReconstructionProblem(target, geo)]
+        probs += [hv.ReconstructionProblem(target, geo, norm="l1", l1_refine=r) for r in (1, 4, 7)]
+        for k in range(9):
+            L = hv.sample_hv_convex(geo, [97, t, k], require_full_box=k % 3 == 0)
+            E = hv.conic_of(L)
+            assert repr(hv.objective(L, probs[0])) == repr(hv.sup_norm_diff(E, target, geo.box))
+            for prob in probs[1:]:
+                br = hv.l1_norm_diff(E, target, geo.box, refine=prob.l1_refine)
+                assert repr(hv.objective(L, prob)) == repr(br.upper)
+
+
+@pytest.mark.parametrize("norm", ["sup", "l1"])
+def test_objective_of_empty_set_is_zero_mass(norm):
+    prob = problem_for(hv.GridSet.full(GEO22), norm=norm)
+    with pytest.raises(ZeroMass):
+        hv.objective(hv.GridSet(GEO22, np.zeros((2, 2), dtype=bool)), prob)
+
+
+@pytest.mark.parametrize("refine", [2.5, 0, -1, 0.5, float("nan"), float("inf")])
+def test_non_integer_l1_refine_is_invalid(refine):
+    with pytest.raises(InvalidParameter):
+        problem_for(hv.GridSet.full(GEO22), norm="l1", l1_refine=refine)
+    with pytest.raises(InvalidParameter):
+        hv.l1_norm_diff(hv.conic_of(hv.GridSet.full(GEO22)),
+                        hv.conic_of(hv.GridSet.full(GEO22)), GEO22.box, refine=refine)
+
+
+@pytest.mark.parametrize("full", [False, True])
+def test_family_stacks_are_read_only(full):
+    xp, cinv, yp, rinv = _family_counts(GEO33_SHORT, full)
+    for arr in (*xp, cinv, *yp, rinv):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = 0
+
+
+@pytest.mark.parametrize("norm,geo", [("sup", GEO44), ("sup", GEO33_SHORT), ("l1", GEO33)])
+@pytest.mark.parametrize("full", [False, True])
+def test_exhaustive_same_on_cold_and_warm_caches(norm, geo, full):
+    feas = "hv_connected_full_box" if full else "hv_connected"
+    T = hv.sample_hv_convex(hv.GridGeometry(geo.box, geo.m + 1, geo.n + 2), [101, geo.m])
+
+    def problem():
+        return hv.ReconstructionProblem(hv.conic_of(T), geo, norm=norm, feasibility=feas)
+
+    def run(prob):
+        res = hv.exhaustive(prob)
+        return (res.best, repr(res.objective), repr(res.trace), res.steps, res.optima)
+
+    _family.cache_clear()
+    _family_counts.cache_clear()
+    prob = problem()
+    cold = run(prob)
+    # the same problem (its kernel built) and a fresh one, on warm caches
+    assert run(prob) == cold
+    assert run(problem()) == cold
 
 
 def test_objective_zero_means_equal_xrays():
