@@ -325,8 +325,9 @@ class _FieldDiff:
         self.axes = []
         for lines, rprof, lo, hi in ((xlines, ref.yprofile, box.a, box.b),
                                      (ylines, ref.xprofile, box.c, box.d)):
-            pts = np.unique(np.concatenate([[lo, hi], lines, rprof.breakpoints]))
-            pts = pts[(pts >= lo) & (pts <= hi)]
+            # np.unique's sorted merge without its call, which imports numpy.ma
+            pts = np.sort(np.concatenate([[lo, hi], lines, rprof.breakpoints]))
+            pts = pts[(pts >= lo) & (pts <= hi) & np.concatenate([[True], pts[1:] != pts[:-1]])]
             mids = 0.5 * (pts[:-1] + pts[1:])
             self.axes.append((lines, rprof, pts, mids, _coeffs(rprof, mids)))
         self._l1_ref: dict = {}

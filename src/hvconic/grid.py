@@ -322,9 +322,10 @@ def is_connected(L: GridSet) -> bool:
     """
     if L.is_empty:
         raise EmptySet("connectivity is about non-empty sets")
-    cells = L.cells
-    m, n = cells.shape
-    start = tuple(np.argwhere(cells)[0])
+    m, n = L.cells.shape
+    # Python lists and ints: indexing numpy scalars costs several times more
+    cells = L.cells.tolist()
+    start = tuple(np.argwhere(L.cells)[0].tolist())
     seen = {start}
     stack = [start]
     while stack:
@@ -332,7 +333,7 @@ def is_connected(L: GridSet) -> bool:
         for di in (-1, 0, 1):
             for dj in (-1, 0, 1):
                 ii, jj = i + di, j + dj
-                if 0 <= ii < m and 0 <= jj < n and cells[ii, jj]:
+                if 0 <= ii < m and 0 <= jj < n and cells[ii][jj]:
                     if (ii, jj) not in seen:
                         seen.add((ii, jj))
                         stack.append((ii, jj))

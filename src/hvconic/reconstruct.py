@@ -199,6 +199,23 @@ class _SupScore:
                        tA.tolist(), tB.tolist(), tC.tolist(), pts[:-1].tolist(), pts[1:].tolist())
             self._scalar.append((widths.tolist(), cmids.tolist(), float(cell), list(segs)))
         self._memo: tuple[dict, dict] = ({}, {})
+        # the corner bound's constants: per axis the target's terms at the
+        # two box sides, in the scorer's own expression on its first and
+        # last merged interval, and the scale turning a count moment into
+        # the candidate's term there (cell_h w^2 / 2 for the columns)
+        sides = []
+        for _, _, _, segs in self._scalar:
+            *_, tA, tB, tC, lo, _ = segs[0]
+            *_, tA1, tB1, tC1, _, hi = segs[-1]
+            sides += [(tA * lo + tB) * lo + tC, (tA1 * hi + tB1) * hi + tC1]
+        box, target = g.box, problem.target
+        ends = [*target.yprofile.breakpoints[[0, -1]].tolist(),
+                *target.xprofile.breakpoints[[0, -1]].tolist()]
+        reach = max(abs(v) for v in (*box.as_tuple(), *ends))
+        reach += box.width + box.height
+        margin = 1e-9 * (target.mass + box.width * box.height) * reach**2
+        self._corners = (g.cell_h * g.cell_w**2 / 2, g.cell_w * g.cell_h**2 / 2,
+                         2 * g.m, 2 * g.n, *sides, margin)
 
     def _axis(self, counts, axk: int) -> tuple[float, float]:
         """``(min, max)`` over the axis of the candidate's term minus the
@@ -252,6 +269,32 @@ class _SupScore:
         vmin, vmax = self._axis(row_counts, 1)
         return max(umax + vmax, -(umin + vmin))
 
+    def corner_bound(self, cells: int, s_c: int, s_r: int) -> float:
+        """A lower bound on the score of a set of ``cells`` cells with
+        column and row moments ``s_c = sum c_i (2i + 1)`` and ``s_r = sum
+        r_j (2j + 1)``, less a rounding margin.
+
+        The score's extrema run over the box sides too, so it is at least
+        ``|d_u(x) + d_v(y)|`` at each corner.  On the uniform grid the
+        candidate's term is ``cell_h w^2 / 2 * s_c`` at ``a`` and ``cell_h
+        w^2 / 2 * (2 m cells - s_c)`` at ``b`` (``v`` likewise), so the
+        bound costs a few float operations and no pass over the counts.
+        The margin, 1e-9 (target mass + box area) (reach + width +
+        height)^2 with ``reach`` the largest ``|coordinate|`` among the box
+        sides and target breakpoints, covers the rounding of the bound and
+        of the score (the scorer's quadratics carry coordinate^2 terms).
+        """
+        kx, ky, m2, n2, ua, ub, vc, vd, margin = self._corners
+        u0 = kx * s_c - ua
+        u1 = kx * (m2 * cells - s_c) - ub
+        v0 = ky * s_r - vc
+        v1 = ky * (n2 * cells - s_r) - vd
+        if u0 > u1:
+            u0, u1 = u1, u0
+        if v0 > v1:
+            v0, v1 = v1, v0
+        return max(u1 + v1, -(u0 + v0)) - margin
+
 
 def _search_score(problem: ReconstructionProblem):
     """The annealer's objective of a set given by its column and row
@@ -270,6 +313,16 @@ def _search_score(problem: ReconstructionProblem):
     return l1
 
 
+def _distinct_rows(counts: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(counts, axis=0, return_inverse=True)`` for count rows
+    whose entries lie below ``base``: each row is read as one integer in
+    that base, most significant digit first, so a 1-D ``np.unique`` keeps
+    the lexicographic row order at a fraction of the cost."""
+    weights = base ** np.arange(counts.shape[1] - 1, -1, -1, dtype=np.int64)
+    _, first, inverse = np.unique(counts @ weights, return_index=True, return_inverse=True)
+    return counts[first], inverse
+
+
 @functools.lru_cache(maxsize=8)
 def _family_counts(geometry: GridGeometry, full_box: bool):
     """The feasible family's distinct column and row X-rays as read-only
@@ -278,12 +331,12 @@ def _family_counts(geometry: GridGeometry, full_box: bool):
     row ``rinv[k]`` of ``yp``.  Built once per geometry, like the family."""
     g = geometry
     family = _family(g.m, g.n, full_box)
-    ucols, cinv = np.unique(family.sum(axis=2), axis=0, return_inverse=True)
-    urows, rinv = np.unique(family.sum(axis=1), axis=0, return_inverse=True)
+    ucols, cinv = _distinct_rows(family.sum(axis=2), g.n + 1)
+    urows, rinv = _distinct_rows(family.sum(axis=1), g.m + 1)
     xlines, ylines = _grid_lines(g)
     xp = _FieldDiff.profiles(xlines, ucols * g.cell_h)
     yp = _FieldDiff.profiles(ylines, urows * g.cell_w)
-    out = (xp, cinv.reshape(-1), yp, rinv.reshape(-1))
+    out = (xp, cinv, yp, rinv)
     for arr in (*xp, *yp, out[1], out[3]):
         arr.setflags(write=False)
     return out
@@ -330,6 +383,11 @@ def _bits_to_cells(cols: list, n: int) -> np.ndarray:
     return np.array([[(c >> j) & 1 for j in range(n)] for c in cols], dtype=bool)
 
 
+# math.exp is within an ulp of exp, so a coin at or above exp(x) times this
+# factor is also at or above the computed exp(y) of any y <= x
+_EXP_SLACK = 1.0 + 2.0**-40
+
+
 def local_search(problem: ReconstructionProblem, params: AnnealingParams) -> ReconstructionResult:
     """Simulated annealing over feasible sets with single-cell toggles.
 
@@ -337,15 +395,21 @@ def local_search(problem: ReconstructionProblem, params: AnnealingParams) -> Rec
     the toggled set leaves the feasible family (``_toggle_ok``, a check of
     the one column and one row the toggle changes); otherwise improving
     moves are always taken and worsening ones with the Metropolis
-    probability at the geometrically cooled temperature.  One generator
-    stream per chain (``restarts + 1`` chains), all derived from the seed,
-    so runs are reproducible.  Stops early once the best objective reaches
-    exact zero, which no feasible set can beat.
+    probability at the geometrically cooled temperature.  For the sup norm
+    a proposal whose corner bound (``_SupScore.corner_bound``, kept in
+    O(1) per accepted toggle from the cell count and the two count
+    moments) already fails the Metropolis test is rejected unscored: the
+    bound never exceeds the score, so the test would fail on the score
+    too, and every decision is the one the score would make.  One
+    generator stream per chain (``restarts + 1`` chains), all derived from
+    the seed, so runs are reproducible.  Stops early once the best
+    objective reaches exact zero, which no feasible set can beat.
     """
     g = problem.geometry
     n = g.n
     full_box = problem.feasibility == FEAS_FULL
     score = _search_score(problem)
+    bound = score.corner_bound if problem.norm == NORM_SUP else lambda *moments: -math.inf
 
     best_cols = None
     best_val = math.inf
@@ -358,6 +422,9 @@ def local_search(problem: ReconstructionProblem, params: AnnealingParams) -> Rec
         cols, rows = _line_bits(start.cells), _line_bits(start.cells.T)
         ccounts = [c.bit_count() for c in cols]
         rcounts = [r.bit_count() for r in rows]
+        cells = sum(ccounts)
+        s_c = sum(c * (2 * i + 1) for i, c in enumerate(ccounts))
+        s_r = sum(r * (2 * j + 1) for j, r in enumerate(rcounts))
         cur = score(ccounts, rcounts)
         if cur < best_val:
             best_val = cur
@@ -374,15 +441,26 @@ def local_search(problem: ReconstructionProblem, params: AnnealingParams) -> Rec
             i, j = divmod(toggles[s], n)
             if _toggle_ok(cols, rows, i, j, full_box):
                 delta = -1 if (cols[i] >> j) & 1 else 1
-                ccounts[i] += delta
-                rcounts[j] += delta
-                val = score(ccounts, rcounts)
-                accept = val <= cur or (
-                    T > 0.0 and coins[s] < math.exp((cur - val) / T)
-                )
+                di, dj = delta * (2 * i + 1), delta * (2 * j + 1)
+                lb = bound(cells + delta, s_c + di, s_r + dj)
+                if lb > cur and (T == 0.0 or coins[s] >= math.exp((cur - lb) / T) * _EXP_SLACK):
+                    accept = False
+                else:
+                    ccounts[i] += delta
+                    rcounts[j] += delta
+                    val = score(ccounts, rcounts)
+                    accept = val <= cur or (
+                        T > 0.0 and coins[s] < math.exp((cur - val) / T)
+                    )
+                    if not accept:
+                        ccounts[i] -= delta
+                        rcounts[j] -= delta
                 if accept:
                     cols[i] ^= 1 << j
                     rows[j] ^= 1 << i
+                    cells += delta
+                    s_c += di
+                    s_r += dj
                     cur = val
                     if cur < best_val:
                         best_val = cur
@@ -390,9 +468,6 @@ def local_search(problem: ReconstructionProblem, params: AnnealingParams) -> Rec
                         trace.append((total_steps, cur))
                         if best_val == 0.0:
                             break
-                else:
-                    ccounts[i] -= delta
-                    rcounts[j] -= delta
             T *= params.cooling
         if best_val == 0.0:
             break
@@ -431,12 +506,22 @@ def _path(spec, key: str) -> str:
     return value
 
 
+def _integer(value) -> int:
+    """``int(value)``, refusing a boolean or a fractional number rather
+    than truncating it; an integral float such as ``4.0`` is its int."""
+    number = int(value)
+    if isinstance(value, bool) or (isinstance(value, float) and number != value):
+        raise ValueError("expected an integer")
+    return number
+
+
 def _int_pair(value) -> tuple[int, int]:
     m, n = value
-    return int(m), int(n)
+    return _integer(m), _integer(n)
 
 
-_BUDGET_FIELDS = {"initial_temperature": float, "cooling": float, "steps": int, "restarts": int}
+_BUDGET_FIELDS = {"initial_temperature": float, "cooling": float, "steps": _integer,
+                  "restarts": _integer}
 
 
 def load_problem(path: str) -> tuple[ReconstructionProblem, AnnealingParams, str]:
@@ -446,7 +531,9 @@ def load_problem(path: str) -> tuple[ReconstructionProblem, AnnealingParams, str
     {"vertical": FILE, "horizontal": FILE}}``; plus ``box`` [a,b,c,d],
     ``dims`` [m,n], optional ``norm``/``l1_refine``/``feasibility``,
     ``budget`` (annealing fields), ``seed`` and ``out_prefix``.  A field
-    of the wrong type or shape raises :class:`FormatError`.
+    of the wrong type or shape raises :class:`FormatError`, and so does a
+    boolean or fractional number in an integer field (``dims``,
+    ``l1_refine``, ``steps``, ``restarts``, ``seed``).
     """
     with open(path, encoding="utf-8") as fh:
         try:
@@ -480,7 +567,7 @@ def load_problem(path: str) -> tuple[ReconstructionProblem, AnnealingParams, str
         geometry=geometry,
         norm=spec.get("norm", NORM_SUP),
         feasibility=spec.get("feasibility", FEAS_HV),
-        l1_refine=_convert("l1_refine", spec.get("l1_refine", 4), int),
+        l1_refine=_convert("l1_refine", spec.get("l1_refine", 4), _integer),
     )
     budget = spec.get("budget", {})
     if not isinstance(budget, dict):
@@ -489,7 +576,7 @@ def load_problem(path: str) -> tuple[ReconstructionProblem, AnnealingParams, str
         key: _convert(key, value, _BUDGET_FIELDS[key]) if key in _BUDGET_FIELDS else value
         for key, value in budget.items()
     }
-    seed = _convert("seed", spec.get("seed", 0), int)
+    seed = _convert("seed", spec.get("seed", 0), _integer)
     try:
         params = AnnealingParams(seed=seed, **fields)
     except TypeError as exc:

@@ -341,6 +341,19 @@ EMPTY_HVSET = "HVSET v1\nbox 0.0 2.0 0.0 2.0\ndims 2 2\n00\n00\n"
 # an integer beyond float range
 HUGE = "9" * 400
 
+# problem files whose integer fields hold a fraction or a boolean, which
+# load_problem refuses rather than truncates: name -> fields
+NOT_INTEGER = {
+    "fractional-refine": {"l1_refine": 2.5},
+    "boolean-refine": {"l1_refine": True},
+    "fractional-steps": {"budget": {"steps": 2.9}},
+    "boolean-steps": {"budget": {"steps": True}},
+    "fractional-restarts": {"budget": {"restarts": 1.5}},
+    "fractional-seed": {"seed": 3.7},
+    "boolean-seed": {"seed": True},
+    "fractional-dims": {"dims": [2.5, 2]},
+}
+
 ERROR_ROWS = {
     "bad-header": (["xray", "bad.hvset"], "FormatError"),
     "small-lattice": (["conic", "good.hvset", "--samples", "1x5"], "InvalidParameter"),
@@ -375,6 +388,7 @@ ERROR_ROWS = {
                                  "TooLarge"),
     "overflow-refine-polyline": (["verify", "polyline", "--seeds", "1", "--refine", HUGE],
                                  "TooLarge"),
+    **{name: (["reconstruct", f"{name}.json"], "FormatError") for name in NOT_INTEGER},
 }
 
 
@@ -398,6 +412,10 @@ def test_domain_error_reports_class(tmp_path, capsys, monkeypatch, argv, cls):
                         "budget": budget, "out_prefix": name}),
             encoding="utf-8",
         )
+    for name, fields in NOT_INTEGER.items():
+        spec = {"target": {"hvset": "good.hvset"}, "box": [0, 2, 0, 2], "dims": [2, 2],
+                "out_prefix": name}
+        (tmp_path / f"{name}.json").write_text(json.dumps(spec | fields), encoding="utf-8")
     code, _, err = invoke(capsys, *argv)
     assert code == 1
     assert err.startswith(f"ERROR {cls}: ") and err.count("\n") == 1
@@ -528,3 +546,24 @@ def test_console_entry_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "3"
+
+
+def test_one_shot_commands_do_not_import_numpy_ma(tmp_path):
+    # importing numpy.ma costs about 17 ms, which a one-shot reconstruct or
+    # verify process need not pay (np.unique's plain call imports it)
+    geo = hv.GridGeometry(hv.Box(0, 4, 0, 4), 4, 4)
+    target = tmp_path / "target.hvset"
+    target.write_text(hv.format_hvset(hv.sample_hv_convex(geo, 3)), encoding="utf-8")
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps({
+        "target": {"hvset": str(target)}, "box": [0, 4, 0, 4], "dims": [4, 4],
+        "budget": {"steps": 200}, "out_prefix": str(tmp_path / "result")}), encoding="utf-8")
+    script = ("import contextlib, io, sys\nfrom hvconic.cli import run\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n    code = run(sys.argv[1:])\n"
+              "print(code, 'numpy.ma' in sys.modules)\n")
+    for argv in (["reconstruct", str(problem)], ["reconstruct", str(problem), "--oracle"],
+                 ["verify", "stability", "--seeds", "1"],
+                 ["verify", "convergence", "--seeds", "1"]):
+        proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                              text=True, timeout=120)
+        assert (proc.stdout, proc.stderr) == ("0 False\n", ""), argv

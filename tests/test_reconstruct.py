@@ -1,5 +1,6 @@
 """Reconstruction engines: objective, exhaustive oracle, annealing, I/O."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -567,6 +568,20 @@ def test_family_stacks_are_read_only(full):
             arr[(0,) * arr.ndim] = 0
 
 
+@pytest.mark.parametrize("full", [False, True])
+def test_family_counts_match_unique_rows(full):
+    # the integer-coded 1-D unique against np.unique's row unique, on every
+    # shape up to the oracle guard; unit cells make the stacks the counts
+    for m, n in ((m, n) for m in range(1, 17) for n in range(1, 17 // m + 1) if m * n <= 16):
+        geo = hv.GridGeometry(hv.Box(0, m, 0, n), m, n)
+        family = _family(m, n, full)
+        xp, cinv, yp, rinv = _family_counts(geo, full)
+        for counts, p, inv in ((family.sum(axis=2), xp, cinv), (family.sum(axis=1), yp, rinv)):
+            rows, inverse = np.unique(counts, axis=0, return_inverse=True)
+            assert p.values.tobytes() == (rows * 1.0).tobytes()
+            assert inv.tobytes() == inverse.reshape(-1).tobytes()
+
+
 @pytest.mark.parametrize("norm,geo", [("sup", GEO44), ("sup", GEO33_SHORT), ("l1", GEO33)])
 @pytest.mark.parametrize("full", [False, True])
 def test_exhaustive_same_on_cold_and_warm_caches(norm, geo, full):
@@ -587,6 +602,80 @@ def test_exhaustive_same_on_cold_and_warm_caches(norm, geo, full):
     # the same problem (its kernel built) and a fresh one, on warm caches
     assert run(prob) == cold
     assert run(problem()) == cold
+
+
+def _csv_round_trip(T):
+    # a target as the CLI reads it: both X-rays through their CSV text
+    return hv.ConicEvaluator(
+        hv.parse_profile_csv(hv.profile_to_csv(hv.xray_v(T)), "vertical"),
+        hv.parse_profile_csv(hv.profile_to_csv(hv.xray_h(T)), "horizontal"),
+    )
+
+
+def _digest_cases():
+    # 40 sup problems: 5 grids x 2 boxes (off the origin, and 0,0.9 whose
+    # last grid line rounds short) x on-grid and off-grid X-ray CSV targets
+    # x both feasibility modes, 2 chains of 1000 steps each
+    for k, dims in enumerate([(7, 7), (5, 6), (6, 8), (8, 5), (4, 7)]):
+        for box in (BOX_OFF, (0, 0.9, 0, 0.9)):
+            geo = hv.GridGeometry(hv.Box(*box), *dims)
+            on_grid = _csv_round_trip(hv.sample_hv_convex(geo, [107, k]))
+            for target in (on_grid, _off_grid_csv_target(geo, 109 + k)):
+                for feas in ("hv_connected", "hv_connected_full_box"):
+                    yield (hv.ReconstructionProblem(target, geo, feasibility=feas),
+                           hv.AnnealingParams(steps=1000, restarts=1, seed=113 + k))
+
+
+def test_local_search_digest_frozen():
+    # frozen from the annealer that scored every feasible proposal
+    runs = []
+    for prob, params in _digest_cases():
+        res = hv.local_search(prob, params)
+        runs.append((res.best.cells.tobytes(), repr(res.objective), res.steps, repr(res.trace)))
+    assert len(runs) == 40
+    digest = hashlib.sha256(repr(runs).encode()).hexdigest()
+    assert digest == "350f1d9c0e983f1081b246c5036d6a4fc914033e8903c1974a8b6d287e9f4b9d"
+
+
+def test_corner_bound_is_below_score():
+    # the bound the annealer rejects moves on never exceeds the exact
+    # score: 3 boxes (at 1e6, 0,0.9, off the origin) x 2 grids x targets on
+    # the grid, on a finer grid, on a shifted grid and 1e5 outside the box;
+    # the candidates are the on-grid target with 0-2 cells flipped and
+    # random cell sets, whose bounds often meet the score at a corner
+    checked = tight = 0
+    for box in ((1e6, 1e6 + 7, -1e6, -1e6 + 5), (0, 0.9, 0, 0.9), BOX_OFF):
+        for dims in ((7, 7), (5, 8)):
+            geo = hv.GridGeometry(hv.Box(*box), *dims)
+            rng = np.random.default_rng([127, *dims])
+            T = hv.sample_hv_convex(geo, rng)
+            B, (m, n) = geo.box, dims
+            far = hv.Box(B.a + 1e5, B.b + 1e5, B.c - 1e5, B.d - 1e5)
+            targets = [hv.conic_of(T),
+                       hv.conic_of(hv.sample_hv_convex(hv.GridGeometry(B, 2 * m + 1, 2 * n + 1), rng)),
+                       _off_grid_csv_target(geo, m * n),
+                       hv.conic_of(hv.sample_hv_convex(hv.GridGeometry(far, m, n), rng))]
+            for target in targets:
+                scorer = _SupScore(hv.ReconstructionProblem(target, geo))
+                margin = scorer._corners[-1]
+                for k in range(450):
+                    if k % 2:
+                        cells = rng.random((m, n)) < rng.random()
+                    else:
+                        cells = T.cells.copy()
+                        cells.flat[rng.integers(0, m * n, size=k % 3)] ^= True
+                    if not cells.any():
+                        continue
+                    cols, rows = cells.sum(axis=1), cells.sum(axis=0)
+                    bound = scorer.corner_bound(int(cols.sum()), int(cols @ (2 * np.arange(m) + 1)),
+                                                int(rows @ (2 * np.arange(n) + 1)))
+                    score = scorer(cols.tolist(), rows.tolist())
+                    assert bound <= score
+                    checked += 1
+                    tight += bound + margin > score
+    assert checked >= 10_000
+    # without its margin the bound would exceed the score somewhere
+    assert tight > 0
 
 
 def test_objective_zero_means_equal_xrays():
@@ -629,6 +718,24 @@ def test_load_problem_hvset_target(tmp_path):
     assert params.cooling == hv.AnnealingParams().cooling  # default fills gaps
     assert prefix.endswith("rec")
     assert hv.objective(L, prob) == 0.0
+
+
+def test_load_problem_integral_floats(tmp_path):
+    # an integral JSON float is its int; fractions and booleans are refused
+    # (test_cli's ERROR_ROWS)
+    L = hv.sample_hv_convex(GEO44, 31)
+    vp, hp = tmp_path / "v.csv", tmp_path / "h.csv"
+    vp.write_text(hv.profile_to_csv(hv.xray_v(L)), encoding="utf-8")
+    hp.write_text(hv.profile_to_csv(hv.xray_h(L)), encoding="utf-8")
+    path = write_problem(tmp_path, {
+        "target": {"xray_csv": {"vertical": str(vp), "horizontal": str(hp)}},
+        "box": [0, 4, 0, 4], "dims": [4.0, 4],
+        "l1_refine": 4.0, "budget": {"steps": 50.0, "restarts": 1.0}, "seed": 6.0,
+    })
+    prob, params, _ = hv.load_problem(path)
+    values = (prob.geometry.m, prob.l1_refine, params.steps, params.restarts, params.seed)
+    assert values == (4, 4, 50, 1, 6)
+    assert all(type(v) is int for v in values)
 
 
 def test_load_problem_xray_target(tmp_path):
