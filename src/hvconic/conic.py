@@ -374,8 +374,9 @@ class _FieldDiff:
 
     def _l1_reference(self, axk: int, refine: int):
         """The reference's share of :meth:`l1_terms`, built once per
-        ``(axk, refine)``: quadrature weights and points, the reference
-        term at those points, and its slopes at the partition points and
+        ``(axk, refine)``: quadrature weights; the quadrature points,
+        partition points and midpoints in one array; the reference term at
+        the quadrature points; and its slopes at the partition points and
         midpoints."""
         hit = self._l1_ref.get((axk, refine))
         if hit is None:
@@ -383,7 +384,7 @@ class _FieldDiff:
             w = np.repeat(np.diff(pts), refine) / refine
             qs = np.repeat(pts[:-1], refine) + (np.tile(np.arange(refine), len(pts) - 1) + 0.5) * w
             hit = self._l1_ref[axk, refine] = (
-                w, qs, _value(_coeffs(rprof, qs), qs),
+                w, np.concatenate([qs, pts, mids]), _value(_coeffs(rprof, qs), qs),
                 _slope(_coeffs(rprof, pts), pts), _slope(rcoef, mids))
         return hit
 
@@ -392,11 +393,15 @@ class _FieldDiff:
         times; each field's axis-term difference at the quadrature points;
         and its bound on the slope difference, which is piecewise linear
         and so extremal one-sided at the partition points."""
-        _, _, pts, mids, _ = self.axes[axk]
-        w, qs, ref_qs, ref_pts, ref_mids = self._l1_reference(axk, refine)
-        diff = _value(_coeffs(p, qs), qs) - ref_qs
-        gap_pts = np.abs(_slope(_coeffs(p, pts), pts) - ref_pts)
-        gap_mids = np.abs(_slope(_coeffs(p, mids), mids) - ref_mids)
+        w, ts, ref_qs, ref_pts, ref_mids = self._l1_reference(axk, refine)
+        # one _coeffs call over the quadrature points, partition points and
+        # midpoints; it works elementwise, so each share is what a call on
+        # that share alone returns
+        A, B, C = _coeffs(p, ts)
+        q, e = len(ref_qs), len(ref_qs) + len(ref_pts)
+        diff = _value((A[..., :q], B[..., :q], C[..., :q]), ts[:q]) - ref_qs
+        gap_pts = np.abs(_slope((A[..., q:e], B[..., q:e], None), ts[q:e]) - ref_pts)
+        gap_mids = np.abs(_slope((A[..., e:], B[..., e:], None), ts[e:]) - ref_mids)
         return w, diff, _pymax(gap_pts.max(axis=-1), gap_mids.max(axis=-1))
 
     def l1(self, xp, yp, refine: int, cinv, rinv):

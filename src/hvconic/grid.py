@@ -436,22 +436,39 @@ def has_contiguous_runs(L: GridSet) -> bool:
     return all(map(_is_run, _line_bits(L.cells) + _line_bits(L.cells.T)))
 
 
-def _line_ok(lines: list, k: int, new: int) -> bool:
-    """Whether line ``k`` of a feasible set, its cells given per line as
-    bits in ``lines``, may become ``new``: the occupied lines stay one
-    contiguous range, and line ``k`` stays empty or one run that touches
-    each occupied neighbour."""
+def _line_mask(lines: list, k: int, size: int, full_box: bool) -> int:
+    """The positions of line ``k`` of a feasible set, its cells given per
+    line as bits in ``lines`` over ``size`` positions, whose toggle keeps
+    line ``k`` feasible, as bits: the occupied lines stay one contiguous
+    range (and, for a full box, all occupied), and line ``k`` stays empty
+    or one run that touches each occupied neighbour."""
+    b = lines[k]
     prev = lines[k - 1] if k else 0
     nxt = lines[k + 1] if k + 1 < len(lines) else 0
-    if not new:
-        # cells must stay on exactly one side: none left empties the set,
-        # both sides splits it
-        return bool(prev) != bool(nxt)
-    if not _is_run(new):
-        return False
-    if not (prev or nxt):
-        return lines[k] != 0  # alone already, or a newly filled line off the set
-    return (not prev or _touch(new, prev)) and (not nxt or _touch(new, nxt))
+    full = (1 << size) - 1
+    if not b:
+        # a new lone cell must touch every occupied neighbour; with none
+        # it would start a second set
+        if not (prev or nxt):
+            return 0
+        allowed = full
+        for side in (prev, nxt):
+            if side:
+                allowed &= side | side << 1 | side >> 1
+        return allowed
+    # the two cells just outside the run extend it and keep its contacts
+    mask = (b << 1 | b >> 1) & ~b & full
+    low, high = b & -b, 1 << (b.bit_length() - 1)
+    if low == high:
+        # emptying the line leaves the cells on exactly one side of it
+        if not full_box and bool(prev) != bool(nxt):
+            mask |= b
+        return mask
+    for end in (low, high):
+        short = b ^ end
+        if (not prev or _touch(short, prev)) and (not nxt or _touch(short, nxt)):
+            mask |= end
+    return mask
 
 
 def _toggle_ok(cols: list, rows: list, i: int, j: int, full_box: bool) -> bool:
@@ -459,17 +476,14 @@ def _toggle_ok(cols: list, rows: list, i: int, j: int, full_box: bool) -> bool:
 
     ``cols[i]`` holds the rows of column ``i`` as bits, ``rows[j]`` the
     columns of row ``j``; only those two lines change.  The toggled set is
-    non-empty, hv-convex and connected exactly when both new lines pass
-    ``_line_ok``: hv-convexity involves only the changed lines and their
-    neighbours, and an hv-convex set whose occupied columns form one range
-    is connected (its column runs touch in turn).  A full box only loses a
-    projection by emptying a line.
+    non-empty, hv-convex and connected exactly when both lines allow the
+    toggle (``_line_mask``): hv-convexity involves only the changed lines
+    and their neighbours, and an hv-convex set whose occupied columns form
+    one range is connected (its column runs touch in turn).  A full box
+    only loses a projection by emptying a line.
     """
-    col = cols[i] ^ (1 << j)
-    row = rows[j] ^ (1 << i)
-    if full_box and not (col and row):
-        return False
-    return _line_ok(cols, i, col) and _line_ok(rows, j, row)
+    return bool(_line_mask(cols, i, len(rows), full_box) >> j & 1
+                and _line_mask(rows, j, len(cols), full_box) >> i & 1)
 
 
 # ---------------------------------------------------------------------------

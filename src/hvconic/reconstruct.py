@@ -30,7 +30,7 @@ from .grid import (
     GridSet,
     _family,
     _line_bits,
-    _toggle_ok,
+    _line_mask,
     format_hvset,
     in_level_set,
     is_connected,
@@ -392,8 +392,12 @@ def local_search(problem: ReconstructionProblem, params: AnnealingParams) -> Rec
     """Simulated annealing over feasible sets with single-cell toggles.
 
     Proposals toggling a uniformly random cell are rejected outright when
-    the toggled set leaves the feasible family (``_toggle_ok``, a check of
-    the one column and one row the toggle changes); otherwise improving
+    the toggled set leaves the feasible family: each column and each row
+    keeps the mask of positions whose toggle it allows (``_line_mask``),
+    and a proposal is feasible when both its bits are set.  An accepted
+    toggle of ``(i, j)`` changes column ``i`` and row ``j``, so it marks
+    the masks of columns ``i-1..i+1`` and rows ``j-1..j+1`` stale; a stale
+    mask is rebuilt when a proposal next reads it.  Otherwise improving
     moves are always taken and worsening ones with the Metropolis
     probability at the geometrically cooled temperature.  For the sup norm
     a proposal whose corner bound (``_SupScore.corner_bound``, kept in
@@ -406,10 +410,14 @@ def local_search(problem: ReconstructionProblem, params: AnnealingParams) -> Rec
     objective reaches exact zero, which no feasible set can beat.
     """
     g = problem.geometry
-    n = g.n
+    m, n = g.m, g.n
     full_box = problem.feasibility == FEAS_FULL
     score = _search_score(problem)
     bound = score.corner_bound if problem.norm == NORM_SUP else lambda *moments: -math.inf
+
+    # the lines whose masks a toggle in line k makes stale: k and its neighbours
+    near_c = [range(max(i - 1, 0), min(i + 2, m)) for i in range(m)]
+    near_r = [range(max(j - 1, 0), min(j + 2, n)) for j in range(n)]
 
     best_cols = None
     best_val = math.inf
@@ -433,24 +441,31 @@ def local_search(problem: ReconstructionProblem, params: AnnealingParams) -> Rec
         if best_val == 0.0:
             break
 
-        toggles = rng.integers(0, g.m * n, size=params.steps).tolist()
+        t_i, t_j = (t.tolist() for t in np.divmod(rng.integers(0, m * n, size=params.steps), n))
         coins = rng.random(params.steps).tolist()
+        cmask, rmask = [None] * m, [None] * n  # None marks a stale mask
         T = params.initial_temperature
-        for s in range(params.steps):
+        for i, j, coin in zip(t_i, t_j, coins):
             total_steps += 1
-            i, j = divmod(toggles[s], n)
-            if _toggle_ok(cols, rows, i, j, full_box):
+            cm = cmask[i]
+            if cm is None:
+                cm = cmask[i] = _line_mask(cols, i, n, full_box)
+            # a column that refuses the toggle spares the row its mask
+            rm = rmask[j] if cm >> j & 1 else 0
+            if rm is None:
+                rm = rmask[j] = _line_mask(rows, j, m, full_box)
+            if rm >> i & 1:
                 delta = -1 if (cols[i] >> j) & 1 else 1
                 di, dj = delta * (2 * i + 1), delta * (2 * j + 1)
                 lb = bound(cells + delta, s_c + di, s_r + dj)
-                if lb > cur and (T == 0.0 or coins[s] >= math.exp((cur - lb) / T) * _EXP_SLACK):
+                if lb > cur and (T == 0.0 or coin >= math.exp((cur - lb) / T) * _EXP_SLACK):
                     accept = False
                 else:
                     ccounts[i] += delta
                     rcounts[j] += delta
                     val = score(ccounts, rcounts)
                     accept = val <= cur or (
-                        T > 0.0 and coins[s] < math.exp((cur - val) / T)
+                        T > 0.0 and coin < math.exp((cur - val) / T)
                     )
                     if not accept:
                         ccounts[i] -= delta
@@ -458,6 +473,10 @@ def local_search(problem: ReconstructionProblem, params: AnnealingParams) -> Rec
                 if accept:
                     cols[i] ^= 1 << j
                     rows[j] ^= 1 << i
+                    for c in near_c[i]:
+                        cmask[c] = None
+                    for r in near_r[j]:
+                        rmask[r] = None
                     cells += delta
                     s_c += di
                     s_r += dj
@@ -506,11 +525,22 @@ def _path(spec, key: str) -> str:
     return value
 
 
+def _real(value) -> float:
+    """``float(value)`` of a JSON number, refusing a string or a boolean
+    that ``float`` would read."""
+    if isinstance(value, (str, bool)):
+        raise ValueError("expected a number")
+    return float(value)
+
+
 def _integer(value) -> int:
-    """``int(value)``, refusing a boolean or a fractional number rather
-    than truncating it; an integral float such as ``4.0`` is its int."""
+    """``int(value)`` of a JSON number, refusing a string or a boolean, and
+    a fractional number rather than truncating it; an integral float such
+    as ``4.0`` is its int."""
+    if isinstance(value, (str, bool)):
+        raise ValueError("expected an integer")
     number = int(value)
-    if isinstance(value, bool) or (isinstance(value, float) and number != value):
+    if isinstance(value, float) and number != value:
         raise ValueError("expected an integer")
     return number
 
@@ -520,7 +550,7 @@ def _int_pair(value) -> tuple[int, int]:
     return _integer(m), _integer(n)
 
 
-_BUDGET_FIELDS = {"initial_temperature": float, "cooling": float, "steps": _integer,
+_BUDGET_FIELDS = {"initial_temperature": _real, "cooling": _real, "steps": _integer,
                   "restarts": _integer}
 
 
@@ -532,8 +562,10 @@ def load_problem(path: str) -> tuple[ReconstructionProblem, AnnealingParams, str
     ``dims`` [m,n], optional ``norm``/``l1_refine``/``feasibility``,
     ``budget`` (annealing fields), ``seed`` and ``out_prefix``.  A field
     of the wrong type or shape raises :class:`FormatError`, and so does a
-    boolean or fractional number in an integer field (``dims``,
-    ``l1_refine``, ``steps``, ``restarts``, ``seed``).
+    string or a boolean in a numeric field (``box``, ``dims``,
+    ``l1_refine``, the budget's numbers, ``seed``) and a fractional number
+    in an integer field (``dims``, ``l1_refine``, ``steps``, ``restarts``,
+    ``seed``).
     """
     with open(path, encoding="utf-8") as fh:
         try:
@@ -541,7 +573,7 @@ def load_problem(path: str) -> tuple[ReconstructionProblem, AnnealingParams, str
         except json.JSONDecodeError as exc:
             raise FormatError(f"malformed problem JSON: {exc}") from None
 
-    box = _convert("box", _require(spec, "box"), lambda v: Box(*(float(x) for x in v)))
+    box = _convert("box", _require(spec, "box"), lambda v: Box(*map(_real, v)))
     m, n = _convert("dims", _require(spec, "dims"), _int_pair)
     geometry = GridGeometry(box, m, n)
 

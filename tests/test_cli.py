@@ -341,9 +341,10 @@ EMPTY_HVSET = "HVSET v1\nbox 0.0 2.0 0.0 2.0\ndims 2 2\n00\n00\n"
 # an integer beyond float range
 HUGE = "9" * 400
 
-# problem files whose integer fields hold a fraction or a boolean, which
-# load_problem refuses rather than truncates: name -> fields
-NOT_INTEGER = {
+# problem files whose numeric fields hold a string or a boolean, or whose
+# integer fields hold a fraction, which load_problem refuses rather than
+# reads or truncates: name -> fields
+NOT_A_NUMBER = {
     "fractional-refine": {"l1_refine": 2.5},
     "boolean-refine": {"l1_refine": True},
     "fractional-steps": {"budget": {"steps": 2.9}},
@@ -352,6 +353,14 @@ NOT_INTEGER = {
     "fractional-seed": {"seed": 3.7},
     "boolean-seed": {"seed": True},
     "fractional-dims": {"dims": [2.5, 2]},
+    "string-box": {"box": ["0", "2", 0, 2]},
+    "boolean-box": {"box": [False, True, 0, 2]},
+    "string-dims": {"dims": ["2", 2]},
+    "string-refine": {"l1_refine": "4"},
+    "string-steps": {"budget": {"steps": "200"}},
+    "string-cooling": {"budget": {"cooling": "0.99"}},
+    "boolean-temperature": {"budget": {"initial_temperature": True}},
+    "string-seed": {"seed": "7"},
 }
 
 ERROR_ROWS = {
@@ -388,7 +397,7 @@ ERROR_ROWS = {
                                  "TooLarge"),
     "overflow-refine-polyline": (["verify", "polyline", "--seeds", "1", "--refine", HUGE],
                                  "TooLarge"),
-    **{name: (["reconstruct", f"{name}.json"], "FormatError") for name in NOT_INTEGER},
+    **{name: (["reconstruct", f"{name}.json"], "FormatError") for name in NOT_A_NUMBER},
 }
 
 
@@ -412,7 +421,7 @@ def test_domain_error_reports_class(tmp_path, capsys, monkeypatch, argv, cls):
                         "budget": budget, "out_prefix": name}),
             encoding="utf-8",
         )
-    for name, fields in NOT_INTEGER.items():
+    for name, fields in NOT_A_NUMBER.items():
         spec = {"target": {"hvset": "good.hvset"}, "box": [0, 2, 0, 2], "dims": [2, 2],
                 "out_prefix": name}
         (tmp_path / f"{name}.json").write_text(json.dumps(spec | fields), encoding="utf-8")

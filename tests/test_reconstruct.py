@@ -10,7 +10,7 @@ import hvconic as hv
 from hvconic import reconstruct
 from hvconic.conic import _FieldDiff
 from hvconic.errors import FormatError, GeometryMismatch, InvalidParameter, TooLarge, ZeroMass
-from hvconic.grid import _family, _line_bits, _toggle_ok
+from hvconic.grid import _family, _line_bits, _line_mask, _toggle_ok
 from hvconic.reconstruct import (
     _check_feasible,
     _family_counts,
@@ -329,15 +329,40 @@ TOGGLE_SHAPES = sorted({(m, n) for m in range(1, 13) for n in range(1, 13) if m 
                        | {(1, 16), (16, 1)})
 
 
+def sections_feasible(lines, full):
+    # one axis of feasibility, from the cell array alone: line k is
+    # ``lines[k]``; the set is non-empty, each line is one run, the closed
+    # spans of adjacent lines meet, the non-empty lines form one range,
+    # and for a full box none is empty
+    spans = []
+    for line in lines:
+        idx = np.flatnonzero(line)
+        if idx.size and idx[-1] - idx[0] + 1 != idx.size:
+            return False
+        spans.append((idx[0], idx[-1] + 1) if idx.size else None)
+    occupied = [k for k, span in enumerate(spans) if span]
+    if not occupied or occupied[-1] - occupied[0] + 1 != len(occupied):
+        return False
+    if full and len(occupied) != len(spans):
+        return False
+    run = spans[occupied[0]:occupied[-1] + 1]
+    return all(a[0] <= b[1] and b[0] <= a[1] for a, b in zip(run, run[1:]))
+
+
 @pytest.mark.parametrize("m,n", TOGGLE_SHAPES)
 @pytest.mark.parametrize("full", [False, True])
 def test_toggle_check_matches_public_predicates(m, n, full):
     # every single-cell toggle of every feasible set, judged by the
-    # reference predicates on the toggled set (the empty set is infeasible)
+    # reference predicates on the toggled set (the empty set is infeasible);
+    # bit j of column i's mask is the column half of that verdict and bit i
+    # of row j's mask the row half
     geo = hv.GridGeometry(hv.Box(0, m, 0, n), m, n)
     verdict = {}
     for cells in _family(m, n, full):
         cols, rows = _line_bits(cells), _line_bits(cells.T)
+        cmask = [_line_mask(cols, i, n, full) for i in range(m)]
+        rmask = [_line_mask(rows, j, m, full) for j in range(n)]
+        assert all(mask >> n == 0 for mask in cmask) and all(mask >> m == 0 for mask in rmask)
         for i in range(m):
             for j in range(n):
                 toggled = cells.copy()
@@ -346,8 +371,51 @@ def test_toggle_check_matches_public_predicates(m, n, full):
                 if key not in verdict:
                     L = hv.GridSet(geo, toggled)
                     ok = not L.is_empty and hv.is_hv_convex(L) and hv.is_connected(L)
-                    verdict[key] = ok and (not full or hv.in_level_set(L, geo.box))
-                assert _toggle_ok(cols, rows, i, j, full) == verdict[key], (cells, i, j)
+                    verdict[key] = (ok and (not full or hv.in_level_set(L, geo.box)),
+                                    sections_feasible(toggled, full),
+                                    sections_feasible(toggled.T, full))
+                whole, col_half, row_half = verdict[key]
+                assert (cmask[i] >> j & 1, rmask[j] >> i & 1) == (col_half, row_half), (cells, i, j)
+                assert _toggle_ok(cols, rows, i, j, full) == whole == (col_half and row_half)
+
+
+# 1x9 with a full box has one feasible set, the full column, and no move
+@pytest.mark.parametrize("m,n,full", [(7, 7, False), (7, 7, True), (1, 9, False)])
+def test_kept_masks_match_fresh_masks(m, n, full):
+    # a seeded walk of feasible toggles that keeps masks as the annealer
+    # does: a toggle of (i, j) marks columns i-1..i+1 and rows j-1..j+1
+    # stale, and a stale mask is rebuilt when read; after every move each
+    # mask not marked stale equals a fresh one
+    geo = hv.GridGeometry(hv.Box(0, m, 0, n), m, n)
+    rng = np.random.default_rng([151, m, n, full])
+    start = hv.sample_hv_convex(geo, rng, require_full_box=full)
+    cols, rows = _line_bits(start.cells), _line_bits(start.cells.T)
+    cmask, rmask = [None] * m, [None] * n
+    moves = 0
+    for _ in range(3000):
+        i, j = divmod(int(rng.integers(m * n)), n)
+        if cmask[i] is None:
+            cmask[i] = _line_mask(cols, i, n, full)
+        if not cmask[i] >> j & 1:
+            continue
+        if rmask[j] is None:
+            rmask[j] = _line_mask(rows, j, m, full)
+        if not rmask[j] >> i & 1:
+            continue
+        cols[i] ^= 1 << j
+        rows[j] ^= 1 << i
+        for c in range(max(i - 1, 0), min(i + 2, m)):
+            cmask[c] = None
+        for r in range(max(j - 1, 0), min(j + 2, n)):
+            rmask[r] = None
+        moves += 1
+        for lines, masks, size in ((cols, cmask, n), (rows, rmask, m)):
+            for k, mask in enumerate(masks):
+                assert mask is None or mask == _line_mask(lines, k, size, full), (moves, k)
+        L = hv.GridSet(geo, np.array([[c >> j & 1 for j in range(n)] for c in cols], dtype=bool))
+        assert hv.is_hv_convex(L) and hv.is_connected(L)
+        assert not full or hv.in_level_set(L, geo.box)
+    assert moves >= 300
 
 
 def test_infeasible_result_raises_not_asserts():
@@ -635,6 +703,31 @@ def test_local_search_digest_frozen():
     assert len(runs) == 40
     digest = hashlib.sha256(repr(runs).encode()).hexdigest()
     assert digest == "350f1d9c0e983f1081b246c5036d6a4fc914033e8903c1974a8b6d287e9f4b9d"
+
+
+def _l1_digest_cases():
+    # 8 l1 problems: 2 boxes (off the origin, and 0,0.9) x on-grid and
+    # off-grid X-ray CSV targets x both feasibility modes, refines 1 and 4,
+    # 2 chains of 300 steps each
+    for k, (dims, box) in enumerate([((6, 5), BOX_OFF), ((5, 7), (0, 0.9, 0, 0.9))]):
+        geo = hv.GridGeometry(hv.Box(*box), *dims)
+        on_grid = _csv_round_trip(hv.sample_hv_convex(geo, [131, k]))
+        for target in (on_grid, _off_grid_csv_target(geo, 137 + k)):
+            for refine, feas in ((1, "hv_connected"), (4, "hv_connected_full_box")):
+                yield (hv.ReconstructionProblem(target, geo, norm="l1", l1_refine=refine,
+                                                feasibility=feas),
+                       hv.AnnealingParams(steps=300, restarts=1, seed=139 + k))
+
+
+def test_local_search_l1_digest_frozen():
+    # frozen from the annealer that ran _toggle_ok on every proposal
+    runs = []
+    for prob, params in _l1_digest_cases():
+        res = hv.local_search(prob, params)
+        runs.append((res.best.cells.tobytes(), repr(res.objective), res.steps, repr(res.trace)))
+    assert len(runs) == 8
+    digest = hashlib.sha256(repr(runs).encode()).hexdigest()
+    assert digest == "f2c8a59afe43c28bc7cc4927e73d717e80ff8da437b9146e2c42ef9a4dc6be40"
 
 
 def test_corner_bound_is_below_score():
