@@ -175,7 +175,7 @@ def check_concavity(L1: GridSet, L2: GridSet, t, samples=(33, 33)) -> CheckRepor
     """
     _require_level_pair(L1, L2)
     px, py = samples
-    if px < 2 or py < 2:
+    if not all(v >= 2 and v % 1 == 0 for v in (px, py)):
         raise InvalidParameter("need at least a 2x2 sample lattice")
     frac = _as_fraction(t)
     p, q = frac.numerator, frac.denominator

@@ -15,6 +15,7 @@ binary search plus a couple of multiplies.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import namedtuple
 from fractions import Fraction
@@ -433,6 +434,134 @@ class _FieldDiff:
             raise InvalidParameter(f"bad bracket [{lower[bad[0]]}, {upper[bad[0]]}]")
         return lower, upper
 
+    def sup_scorer(self, cell_h: float, cell_w: float) -> "_SupScore":
+        """The scalar twin of :meth:`sup` for fields on uniform lines of
+        ``cell_w`` by ``cell_h`` cells, scored from their cell counts."""
+        return _SupScore(self.axes, (cell_h, cell_w))
+
+
+# the scalar sup scorer remembers at most this many count vectors per axis
+# and starts its memo afresh when it is full
+_MEMO_CAP = 1 << 14
+
+
+class _SupScore:
+    """Exact sup-norm objective from column/row counts alone.
+
+    The merged interval structure shared by every candidate on the fixed
+    grid (the candidate breakpoints are always the grid lines) comes from
+    the kernel's axes, and the scalar path mirrors :meth:`_FieldDiff.sup`
+    term for term, so it is bit-identical to the kernel on the same
+    candidate.  Built by :meth:`_FieldDiff.sup_scorer`.
+    """
+
+    def __init__(self, axes, cell_hw):
+        self._scalar, sides, ends, spans = [], [], [], []
+        for (lines, rprof, pts, mids, (tA, tB, tC)), cell in zip(axes, cell_hw):
+            widths = np.diff(lines)
+            cmids = 0.5 * (lines[:-1] + lines[1:])
+            kidx = np.searchsorted(lines, mids, side="right") - 1
+            # the kernel's terms as Python floats, one tuple per merged
+            # interval; the last grid line can round short of the box side,
+            # so k = r marks an interval on the linear tail past it (l, l2
+            # unused)
+            ki = np.clip(kidx, 0, len(widths) - 1)
+            segs = list(zip(kidx.tolist(), lines[ki].tolist(), (lines[ki] ** 2).tolist(),
+                            *(t.tolist() for t in (tA, tB, tC, pts[:-1], pts[1:]))))
+            self._scalar.append((widths.tolist(), cmids.tolist(), float(cell), segs))
+            # for the corner bound: the target's terms at the two box sides,
+            # in the scorer's own expression on its first and last merged
+            # interval, and the coordinates and side lengths of the margin
+            *_, a0, b0, c0, lo, _ = segs[0]
+            *_, a1, b1, c1, _, hi = segs[-1]
+            sides += [(a0 * lo + b0) * lo + c0, (a1 * hi + b1) * hi + c1]
+            ends += [lo, hi, *rprof.breakpoints[[0, -1]].tolist()]
+            spans.append(hi - lo)
+        self._memo: tuple[dict, dict] = ({}, {})
+        (width, height), (cell_h, cell_w) = spans, cell_hw
+        reach = max(map(abs, ends)) + (width + height)
+        margin = 1e-9 * (axes[0][1].total_mass + width * height) * reach**2
+        self._corners = (cell_h * cell_w**2 / 2, cell_w * cell_h**2 / 2,
+                         2 * len(self._scalar[0][0]), 2 * len(self._scalar[1][0]), *sides, margin)
+
+    def _axis(self, counts, axk: int) -> tuple[float, float]:
+        """``(min, max)`` over the axis of the candidate's term minus the
+        target's, for one sequence of counts.
+
+        The annealer's hot path, and the one deliberate second copy of the
+        kernel: the formulas of ``_coeffs``, ``_prefix`` and
+        ``_FieldDiff.extrema`` on Python floats, with no numpy call (whose
+        per-call overhead would dominate a step).  It stays bit-identical
+        to the kernel, which the tests check.
+        """
+        key = tuple(counts)
+        memo = self._memo[axk]
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        widths, cmids, cell, segs = self._scalar[axk]
+        vals = [c * cell for c in key]
+        vw = [v * w for v, w in zip(vals, widths)]
+        mass = [0.0, *itertools.accumulate(vw)]
+        moment = [0.0, *itertools.accumulate(x * c for x, c in zip(vw, cmids))]
+        mtot, stot = mass[-1], moment[-1]
+        r = len(vals)
+        at_lo, at_hi, vertex = [], [], []
+        for k, l, l2, tA, tB, tC, lo, hi in segs:
+            if k < r:
+                A = vals[k]
+                B = 2.0 * mass[k] - 2.0 * A * l - mtot
+                C = A * l2 - 2.0 * moment[k] + stot
+            else:
+                A, B, C = 0.0, mtot, -stot
+            dA, dB, dC = A - tA, B - tB, C - tC
+            at_lo.append((dA * lo + dB) * lo + dC)
+            at_hi.append((dA * hi + dB) * hi + dC)
+            if dA != 0.0:
+                tv = -dB / (2.0 * dA)
+                if tv > lo and tv < hi:
+                    vertex.append((dA * tv + dB) * tv + dC)
+        best_min = min(min(at_lo), min(at_hi))
+        best_max = max(max(at_lo), max(at_hi))
+        if vertex:
+            best_min = min(best_min, min(vertex))
+            best_max = max(best_max, max(vertex))
+        if len(memo) >= _MEMO_CAP:
+            memo.clear()
+        hit = memo[key] = (best_min, best_max)
+        return hit
+
+    def __call__(self, col_counts, row_counts) -> float:
+        umin, umax = self._axis(col_counts, 0)
+        vmin, vmax = self._axis(row_counts, 1)
+        return max(umax + vmax, -(umin + vmin))
+
+    def corner_bound(self, cells: int, s_c: int, s_r: int) -> float:
+        """A lower bound on the score of a set of ``cells`` cells with
+        column and row moments ``s_c = sum c_i (2i + 1)`` and ``s_r = sum
+        r_j (2j + 1)``, less a rounding margin.
+
+        The score's extrema run over the box sides too, so it is at least
+        ``|d_u(x) + d_v(y)|`` at each corner.  On the uniform grid the
+        candidate's term is ``cell_h w^2 / 2 * s_c`` at ``a`` and ``cell_h
+        w^2 / 2 * (2 m cells - s_c)`` at ``b`` (``v`` likewise), so the
+        bound costs a few float operations and no pass over the counts.
+        The margin, 1e-9 (target mass + box area) (reach + width +
+        height)^2 with ``reach`` the largest ``|coordinate|`` among the box
+        sides and target breakpoints, covers the rounding of the bound and
+        of the score (the scorer's quadratics carry coordinate^2 terms).
+        """
+        kx, ky, m2, n2, ua, ub, vc, vd, margin = self._corners
+        u0 = kx * s_c - ua
+        u1 = kx * (m2 * cells - s_c) - ub
+        v0 = ky * s_r - vc
+        v1 = ky * (n2 * cells - s_r) - vd
+        if u0 > u1:
+            u0, u1 = u1, u0
+        if v0 > v1:
+            v0, v1 = v1, v0
+        return max(u1 + v1, -(u0 + v0)) - margin
+
 
 def sup_norm_diff(E1: ConicEvaluator, E2: ConicEvaluator, box: Box) -> float:
     """Exact supremum of ``|f1 - f2|`` over the reference box.
@@ -580,7 +709,7 @@ def parse_profile_csv(text: str, axis: str) -> XRayProfile:
 
 def _sample_field(E: ConicEvaluator, box: Box, px: int, py: int):
     """The ``px`` by ``py`` lattice over ``box`` and the field's values on it."""
-    if px < 2 or py < 2:
+    if not all(v >= 2 and v % 1 == 0 for v in (px, py)):
         raise InvalidParameter("need at least a 2x2 sample lattice")
     _check_raster(px, py)
     xs = np.linspace(box.a, box.b, px)

@@ -106,8 +106,8 @@ class GridGeometry:
     n: int
 
     def __post_init__(self):
-        if self.m < 1 or self.n < 1:
-            raise InvalidParameter(f"grid dims must be positive, got {self.m}x{self.n}")
+        if not all(v >= 1 and v % 1 == 0 for v in (self.m, self.n)):
+            raise InvalidParameter(f"grid dims must be positive integers, got {self.m}x{self.n}")
 
     @property
     def cell_w(self) -> float:
@@ -130,8 +130,8 @@ class GridGeometry:
         return self.box.c + np.arange(self.n + 1) * self.cell_h
 
     def refined(self, k: int) -> "GridGeometry":
-        if k < 1:
-            raise InvalidParameter(f"refinement factor must be >= 1, got {k}")
+        if not (k >= 1 and k % 1 == 0):
+            raise InvalidParameter(f"refinement factor must be an integer >= 1, got {k}")
         return GridGeometry(self.box, self.m * k, self.n * k)
 
 
@@ -441,7 +441,14 @@ def _line_mask(lines: list, k: int, size: int, full_box: bool) -> int:
     line as bits in ``lines`` over ``size`` positions, whose toggle keeps
     line ``k`` feasible, as bits: the occupied lines stay one contiguous
     range (and, for a full box, all occupied), and line ``k`` stays empty
-    or one run that touches each occupied neighbour."""
+    or one run that touches each occupied neighbour.
+
+    Toggling cell ``(i, j)`` changes only column ``i`` and row ``j``, and
+    the toggled set is non-empty, hv-convex and connected exactly when the
+    masks of both allow it: hv-convexity involves only the changed lines
+    and their neighbours, and an hv-convex set whose occupied columns form
+    one range is connected (its column runs touch in turn).  A full box
+    only loses a projection by emptying a line."""
     b = lines[k]
     prev = lines[k - 1] if k else 0
     nxt = lines[k + 1] if k + 1 < len(lines) else 0
@@ -469,21 +476,6 @@ def _line_mask(lines: list, k: int, size: int, full_box: bool) -> int:
         if (not prev or _touch(short, prev)) and (not nxt or _touch(short, nxt)):
             mask |= end
     return mask
-
-
-def _toggle_ok(cols: list, rows: list, i: int, j: int, full_box: bool) -> bool:
-    """Whether toggling cell ``(i, j)`` of a feasible set leaves one.
-
-    ``cols[i]`` holds the rows of column ``i`` as bits, ``rows[j]`` the
-    columns of row ``j``; only those two lines change.  The toggled set is
-    non-empty, hv-convex and connected exactly when both lines allow the
-    toggle (``_line_mask``): hv-convexity involves only the changed lines
-    and their neighbours, and an hv-convex set whose occupied columns form
-    one range is connected (its column runs touch in turn).  A full box
-    only loses a projection by emptying a line.
-    """
-    return bool(_line_mask(cols, i, len(rows), full_box) >> j & 1
-                and _line_mask(rows, j, len(cols), full_box) >> i & 1)
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +607,7 @@ def dilate(L: GridSet, eps: float, refine: int = 4) -> tuple[GridSet, GridSet]:
     """
     if not (math.isfinite(eps) and eps > 0):
         raise InvalidParameter(f"dilation radius must be finite and positive, got {eps}")
-    if refine < 1 or int(refine) != refine:
+    if not (refine >= 1 and refine % 1 == 0):
         raise InvalidParameter(f"refine must be a positive integer, got {refine}")
     if L.is_empty:
         raise EmptySet("cannot dilate the empty set")
@@ -675,10 +667,11 @@ def min_cover(L: GridSet, coarse: GridGeometry) -> GridSet:
 
 
 def _seeded_rng(seed) -> np.random.Generator:
-    """``np.random.default_rng(seed)``; a negative seed raises InvalidParameter."""
+    """``np.random.default_rng(seed)``; a negative or non-integer seed
+    raises InvalidParameter."""
     try:
         return np.random.default_rng(seed)
-    except ValueError as exc:  # numpy: "expected non-negative integer"
+    except (TypeError, ValueError) as exc:  # numpy: not an integer, or negative
         raise InvalidParameter(f"bad seed {seed!r}: {exc}") from None
 
 

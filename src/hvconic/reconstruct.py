@@ -7,15 +7,14 @@ exhaustive oracle for small grids that returns every global optimum, and
 seeded simulated annealing for larger ones.  Each problem builds one conic
 kernel, on first use, and the engines and :func:`objective` share it.
 Both engines report a best set whose objective is recomputed at the end
-from the set's own X-rays, with the arrays and kernel calls of the public
-norms, so a bug in the family or incremental scoring cannot leak into
-results.
+from the set's own X-rays, with the arrays and kernel methods of the
+public norms, so a bug in the family or incremental scoring cannot leak
+into results.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -80,6 +79,25 @@ class ReconstructionProblem:
         first use and shared by both engines and :func:`objective`."""
         return _FieldDiff(*_grid_lines(self.geometry), self.target, self.geometry.box)
 
+    def _brackets(self, xp, yp, cinv, rinv):
+        """Objective brackets ``(lower, upper)`` of the sets whose X-rays
+        are rows ``cinv[k]`` of the column stack ``xp`` and ``rinv[k]`` of
+        the row stack ``yp``: the kernel's sup norm, exact, so both ends
+        are one array, or its l1 bracket."""
+        if self.norm == NORM_SUP:
+            upper = self._kernel.sup(xp, yp, cinv, rinv)
+            return upper, upper
+        return self._kernel.l1(xp, yp, self.l1_refine, cinv, rinv)
+
+    def _score(self, col_counts, row_counts) -> float:
+        """The objective of one set given by its column and row counts: the
+        upper end of its bracket, from the arrays ``conic_of`` builds."""
+        g, kernel = self.geometry, self._kernel
+        xp = kernel.stack(0, np.array([col_counts]) * g.cell_h)
+        yp = kernel.stack(1, np.array([row_counts]) * g.cell_w)
+        one = np.zeros(1, dtype=np.intp)
+        return float(self._brackets(xp, yp, one, one)[1][0])
+
 
 @functools.lru_cache(maxsize=8)
 def _grid_lines(geometry: GridGeometry) -> tuple[np.ndarray, np.ndarray]:
@@ -105,8 +123,8 @@ class AnnealingParams:
         if not 0.0 < self.cooling < 1.0:
             raise InvalidParameter("cooling must lie strictly between 0 and 1")
         # zero steps allowed: the run then reports the initial sample
-        if self.steps < 0 or self.restarts < 0 or self.seed < 0:
-            raise InvalidParameter("steps, restarts and seed must be non-negative")
+        if not all(v >= 0 and v % 1 == 0 for v in (self.steps, self.restarts, self.seed)):
+            raise InvalidParameter("steps, restarts and seed must be non-negative integers")
 
 
 @dataclass(frozen=True)
@@ -156,161 +174,17 @@ def objective(L: GridSet, problem: ReconstructionProblem) -> float:
         raise GeometryMismatch("candidate must live on the problem geometry")
     if L.is_empty:
         raise ZeroMass("profiles must carry positive mass")
-    # the arrays conic_of(L) builds, scored as sup_norm_diff and
-    # l1_norm_diff score them, on the problem's one kernel
-    g, kernel = problem.geometry, problem._kernel
-    xp = kernel.stack(0, L.col_counts() * g.cell_h)
-    yp = kernel.stack(1, L.row_counts() * g.cell_w)
-    if problem.norm == NORM_SUP:
-        return float(kernel.sup(xp, yp, (), ()))
-    one = np.zeros(1, dtype=np.intp)
-    return float(kernel.l1(xp, yp, problem.l1_refine, one, one)[1][0])
-
-
-# the scalar sup scorer remembers at most this many count vectors per axis
-# and starts its memo afresh when it is full
-_MEMO_CAP = 1 << 14
-
-
-class _SupScore:
-    """Exact sup-norm objective from column/row counts alone.
-
-    The merged interval structure shared by every candidate on the fixed
-    grid (the candidate breakpoints are always the grid lines) comes from
-    the problem's conic kernel ``_FieldDiff``, and the scalar path mirrors
-    ``_FieldDiff.sup`` term for term, so it is bit-identical to
-    ``objective`` on the same candidate.
-    """
-
-    def __init__(self, problem: ReconstructionProblem):
-        g, kernel = problem.geometry, problem._kernel
-        self._scalar = []
-        cells = (g.cell_h, g.cell_w)
-        for (lines, _, pts, mids, (tA, tB, tC)), cell in zip(kernel.axes, cells):
-            widths = np.diff(lines)
-            cmids = 0.5 * (lines[:-1] + lines[1:])
-            kidx = np.searchsorted(lines, mids, side="right") - 1
-            # the kernel's terms as Python floats, one tuple per merged
-            # interval; the last grid line can round short of the box side,
-            # so k = r marks an interval on the linear tail past it (l, l2
-            # unused)
-            ki = np.clip(kidx, 0, len(widths) - 1)
-            segs = zip(kidx.tolist(), lines[ki].tolist(), (lines[ki] ** 2).tolist(),
-                       tA.tolist(), tB.tolist(), tC.tolist(), pts[:-1].tolist(), pts[1:].tolist())
-            self._scalar.append((widths.tolist(), cmids.tolist(), float(cell), list(segs)))
-        self._memo: tuple[dict, dict] = ({}, {})
-        # the corner bound's constants: per axis the target's terms at the
-        # two box sides, in the scorer's own expression on its first and
-        # last merged interval, and the scale turning a count moment into
-        # the candidate's term there (cell_h w^2 / 2 for the columns)
-        sides = []
-        for _, _, _, segs in self._scalar:
-            *_, tA, tB, tC, lo, _ = segs[0]
-            *_, tA1, tB1, tC1, _, hi = segs[-1]
-            sides += [(tA * lo + tB) * lo + tC, (tA1 * hi + tB1) * hi + tC1]
-        box, target = g.box, problem.target
-        ends = [*target.yprofile.breakpoints[[0, -1]].tolist(),
-                *target.xprofile.breakpoints[[0, -1]].tolist()]
-        reach = max(abs(v) for v in (*box.as_tuple(), *ends))
-        reach += box.width + box.height
-        margin = 1e-9 * (target.mass + box.width * box.height) * reach**2
-        self._corners = (g.cell_h * g.cell_w**2 / 2, g.cell_w * g.cell_h**2 / 2,
-                         2 * g.m, 2 * g.n, *sides, margin)
-
-    def _axis(self, counts, axk: int) -> tuple[float, float]:
-        """``(min, max)`` over the axis of the candidate's term minus the
-        target's, for one sequence of counts.
-
-        The annealer's hot path, and the one deliberate second copy of the
-        kernel: the formulas of ``conic._coeffs``, ``conic._prefix`` and
-        ``conic._FieldDiff.extrema`` on Python floats, with no numpy call
-        (whose per-call overhead would dominate a step).  It stays
-        bit-identical to the kernel, which the tests check.
-        """
-        key = tuple(counts)
-        memo = self._memo[axk]
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        widths, cmids, cell, segs = self._scalar[axk]
-        vals = [c * cell for c in key]
-        vw = [v * w for v, w in zip(vals, widths)]
-        mass = [0.0, *itertools.accumulate(vw)]
-        moment = [0.0, *itertools.accumulate(x * c for x, c in zip(vw, cmids))]
-        mtot, stot = mass[-1], moment[-1]
-        r = len(vals)
-        at_lo, at_hi, vertex = [], [], []
-        for k, l, l2, tA, tB, tC, lo, hi in segs:
-            if k < r:
-                A = vals[k]
-                B = 2.0 * mass[k] - 2.0 * A * l - mtot
-                C = A * l2 - 2.0 * moment[k] + stot
-            else:
-                A, B, C = 0.0, mtot, -stot
-            dA, dB, dC = A - tA, B - tB, C - tC
-            at_lo.append((dA * lo + dB) * lo + dC)
-            at_hi.append((dA * hi + dB) * hi + dC)
-            if dA != 0.0:
-                tv = -dB / (2.0 * dA)
-                if tv > lo and tv < hi:
-                    vertex.append((dA * tv + dB) * tv + dC)
-        best_min = min(min(at_lo), min(at_hi))
-        best_max = max(max(at_lo), max(at_hi))
-        if vertex:
-            best_min = min(best_min, min(vertex))
-            best_max = max(best_max, max(vertex))
-        if len(memo) >= _MEMO_CAP:
-            memo.clear()
-        hit = memo[key] = (best_min, best_max)
-        return hit
-
-    def __call__(self, col_counts, row_counts) -> float:
-        umin, umax = self._axis(col_counts, 0)
-        vmin, vmax = self._axis(row_counts, 1)
-        return max(umax + vmax, -(umin + vmin))
-
-    def corner_bound(self, cells: int, s_c: int, s_r: int) -> float:
-        """A lower bound on the score of a set of ``cells`` cells with
-        column and row moments ``s_c = sum c_i (2i + 1)`` and ``s_r = sum
-        r_j (2j + 1)``, less a rounding margin.
-
-        The score's extrema run over the box sides too, so it is at least
-        ``|d_u(x) + d_v(y)|`` at each corner.  On the uniform grid the
-        candidate's term is ``cell_h w^2 / 2 * s_c`` at ``a`` and ``cell_h
-        w^2 / 2 * (2 m cells - s_c)`` at ``b`` (``v`` likewise), so the
-        bound costs a few float operations and no pass over the counts.
-        The margin, 1e-9 (target mass + box area) (reach + width +
-        height)^2 with ``reach`` the largest ``|coordinate|`` among the box
-        sides and target breakpoints, covers the rounding of the bound and
-        of the score (the scorer's quadratics carry coordinate^2 terms).
-        """
-        kx, ky, m2, n2, ua, ub, vc, vd, margin = self._corners
-        u0 = kx * s_c - ua
-        u1 = kx * (m2 * cells - s_c) - ub
-        v0 = ky * s_r - vc
-        v1 = ky * (n2 * cells - s_r) - vd
-        if u0 > u1:
-            u0, u1 = u1, u0
-        if v0 > v1:
-            v0, v1 = v1, v0
-        return max(u1 + v1, -(u0 + v0)) - margin
+    return problem._score(L.col_counts(), L.row_counts())
 
 
 def _search_score(problem: ReconstructionProblem):
     """The annealer's objective of a set given by its column and row
-    counts, bit-identical to ``objective``: the scalar ``_SupScore``, or
-    for l1 a one-row stack through the problem's kernel."""
+    counts, bit-identical to ``objective``: the kernel's scalar sup scorer,
+    or for l1 the problem's own one-set score."""
     if problem.norm == NORM_SUP:
-        return _SupScore(problem)
-    g, kernel = problem.geometry, problem._kernel
-    one = np.zeros(1, dtype=np.intp)
-
-    def l1(col_counts, row_counts) -> float:
-        xp = kernel.stack(0, np.array([col_counts]) * g.cell_h)
-        yp = kernel.stack(1, np.array([row_counts]) * g.cell_w)
-        return float(kernel.l1(xp, yp, problem.l1_refine, one, one)[1][0])
-
-    return l1
+        g = problem.geometry
+        return problem._kernel.sup_scorer(g.cell_h, g.cell_w)
+    return problem._score
 
 
 def _distinct_rows(counts: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]:
@@ -363,11 +237,7 @@ def exhaustive(problem: ReconstructionProblem) -> ReconstructionResult:
     full_box = problem.feasibility == FEAS_FULL
     family = _family(m, n, full_box)
     xp, cinv, yp, rinv = _family_counts(g, full_box)
-    kernel = problem._kernel
-    if problem.norm == NORM_SUP:
-        lower = upper = kernel.sup(xp, yp, cinv, rinv)
-    else:
-        lower, upper = kernel.l1(xp, yp, problem.l1_refine, cinv, rinv)
+    lower, upper = problem._brackets(xp, yp, cinv, rinv)
     # a candidate enters the trace when it beats every earlier one
     before = np.minimum.accumulate(np.concatenate([[math.inf], upper[:-1]]))
     records = np.flatnonzero(upper < before)
@@ -400,7 +270,7 @@ def local_search(problem: ReconstructionProblem, params: AnnealingParams) -> Rec
     mask is rebuilt when a proposal next reads it.  Otherwise improving
     moves are always taken and worsening ones with the Metropolis
     probability at the geometrically cooled temperature.  For the sup norm
-    a proposal whose corner bound (``_SupScore.corner_bound``, kept in
+    a proposal whose corner bound (the sup scorer's ``corner_bound``, kept in
     O(1) per accepted toggle from the cell count and the two count
     moments) already fails the Metropolis test is rejected unscored: the
     bound never exceeds the score, so the test would fail on the score

@@ -1,11 +1,15 @@
-"""The public surface of ``import hvconic``, frozen.
+"""The public surface of ``import hvconic`` and its module boundaries,
+frozen.
 
 Each module's ``__all__`` is its public API and the package re-exports
 exactly the union of those lists, so a name added to or dropped from a
-module shows here.
+module shows here.  So does a private name newly imported from a sibling
+module, and an import nothing uses.
 """
 
+import ast
 import importlib
+import pathlib
 
 import pytest
 
@@ -38,6 +42,47 @@ PUBLIC = {
     "TooLarge", "ZeroMass", "PreconditionViolated", "NonSimpleChain", "FormatError",
     "__version__",
 }
+
+
+# (importer, sibling, name) for each private name a module imports from a
+# sibling module
+PRIVATE_IMPORTS = {
+    ("checks", "grid", "_as_fraction"),
+    ("cli", "grid", "_seeded_rng"),
+    ("conic", "grid", "_check_raster"),
+    ("metrics", "grid", "_band_raster"),
+    ("metrics", "grid", "_check_raster"),
+    ("metrics", "grid", "_min_dist_to_rects"),
+    ("reconstruct", "conic", "_FieldDiff"),
+    ("reconstruct", "grid", "_family"),
+    ("reconstruct", "grid", "_line_bits"),
+    ("reconstruct", "grid", "_line_mask"),
+}
+
+
+def _sources() -> dict:
+    src = pathlib.Path(hvconic.__file__).parent
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(src.glob("*.py"))}
+
+
+def test_private_cross_imports_frozen():
+    found = {(mod, node.module, alias.name)
+             for mod, tree in _sources().items() for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.level == 1
+             for alias in node.names if alias.name.startswith("_")}
+    assert found == PRIVATE_IMPORTS
+
+
+def test_every_imported_name_is_used():
+    for mod, tree in _sources().items():
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    assert name == "*" or name in used, f"{mod} imports {name!r} unused"
 
 
 def test_package_exports_the_frozen_names():

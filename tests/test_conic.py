@@ -410,6 +410,9 @@ def test_field_csv():
     assert "np.float64" not in text
     x, y, f = (float(p) for p in lines[5].split(","))
     assert f == pytest.approx(E.evaluate(x, y), rel=1e-13)
+    for px in (2.5, math.nan, math.inf):
+        with pytest.raises(InvalidParameter):
+            hv.field_to_csv(E, UNIT.box, px, 3)
 
 
 # sha256 of the CSV and PGM exports, frozen from the per-sample writers

@@ -109,6 +109,11 @@ def test_geometry_lines_and_refinement():
     assert geo.refined(3).m == 6 and geo.refined(3).n == 3
     with pytest.raises(InvalidParameter):
         hv.GridGeometry(hv.Box(0, 1, 0, 1), 0, 3)
+    for bad in (2.5, math.nan, math.inf):
+        with pytest.raises(InvalidParameter):
+            hv.GridGeometry(hv.Box(0, 1, 0, 1), bad, 3)
+        with pytest.raises(InvalidParameter):
+            geo.refined(bad)
 
 
 def test_grid_set_is_immutable_and_hashable():
@@ -341,7 +346,7 @@ def test_sampler_deterministic():
     assert hv.sample_hv_convex(GEO88, 123) != hv.sample_hv_convex(GEO88, 124)
 
 
-@pytest.mark.parametrize("seed", [-1, [-1, 0], [3, -2, 1]])
+@pytest.mark.parametrize("seed", [-1, [-1, 0], [3, -2, 1], 2.5])
 def test_sampler_rejects_negative_seed(seed):
     with pytest.raises(InvalidParameter):
         hv.sample_hv_convex(GEO88, seed)
@@ -378,6 +383,11 @@ def test_dilate_rejects_bad_eps():
     for eps in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(InvalidParameter):
             hv.dilate(hv.GridSet.full(GEO44), eps)
+    for refine in (math.nan, math.inf):
+        with pytest.raises(InvalidParameter):
+            hv.dilate(hv.GridSet.full(GEO44), 0.5, refine=refine)
+        with pytest.raises(InvalidParameter):
+            hv.check_dilation_bound(hv.GridSet.full(GEO44), 0.5, refine=refine)
 
 
 # ---------------------------------------------------------------------------

@@ -72,8 +72,9 @@ def test_hausdorff_symmetry_and_subsample_narrowing():
     coarse = hv.hausdorff(A, B, subsamples=2)
     fine = hv.hausdorff(A, B, subsamples=8)
     assert coarse.lower <= fine.lower <= fine.upper <= coarse.upper
-    with pytest.raises(InvalidParameter):
-        hv.hausdorff(A, B, subsamples=1)
+    for bad in (1, 2.5, math.nan, math.inf):
+        with pytest.raises(InvalidParameter):
+            hv.hausdorff(A, B, subsamples=bad)
 
 
 def test_hausdorff_needs_points():
@@ -167,8 +168,12 @@ def test_tube_rejects_bad_parameters():
     for eps in (0.0, math.nan, math.inf):
         with pytest.raises(InvalidParameter):
             hv.tube_area(seg, eps)
-    with pytest.raises(InvalidParameter):
-        hv.tube_area(seg, 0.5, refine=0)
+    for refine in (0, math.nan, math.inf):
+        with pytest.raises(InvalidParameter):
+            hv.tube_area(seg, 0.5, refine=refine)
+    for refine in (math.nan, math.inf):
+        with pytest.raises(InvalidParameter):
+            hv.check_polyline_bound(seg, 0.5, refine=refine)
 
 
 # ---------------------------------------------------------------------------

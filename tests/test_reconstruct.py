@@ -7,16 +7,11 @@ import numpy as np
 import pytest
 
 import hvconic as hv
-from hvconic import reconstruct
+from hvconic import conic
 from hvconic.conic import _FieldDiff
 from hvconic.errors import FormatError, GeometryMismatch, InvalidParameter, TooLarge, ZeroMass
-from hvconic.grid import _family, _line_bits, _line_mask, _toggle_ok
-from hvconic.reconstruct import (
-    _check_feasible,
-    _family_counts,
-    _search_score,
-    _SupScore,
-)
+from hvconic.grid import _family, _line_bits, _line_mask
+from hvconic.reconstruct import _check_feasible, _family_counts, _search_score
 
 GEO22 = hv.GridGeometry(hv.Box(0.0, 2.0, 0.0, 2.0), 2, 2)
 GEO33 = hv.GridGeometry(hv.Box(0.0, 3.0, 0.0, 3.0), 3, 3)
@@ -71,6 +66,10 @@ def test_problem_validation():
         hv.AnnealingParams(steps=-1)
     with pytest.raises(InvalidParameter):
         hv.AnnealingParams(seed=-1)  # numpy generators take no negative seed
+    for field in ("steps", "restarts", "seed"):
+        for bad in (2.5, float("nan"), float("inf")):
+            with pytest.raises(InvalidParameter):
+                hv.AnnealingParams(**{field: bad})
     for bad in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(InvalidParameter):
             hv.AnnealingParams(initial_temperature=bad)
@@ -263,7 +262,7 @@ def test_batch_scorer_matches_scalar_bitwise(geo, full):
     targets += [hv.sample_hv_convex(fine, [43, k], require_full_box=True) for k in range(3)]
     for T in targets:
         target = hv.conic_of(T)
-        scorer = _SupScore(hv.ReconstructionProblem(target, geo))
+        scorer = _search_score(hv.ReconstructionProblem(target, geo))
         kernel = _FieldDiff(geo.xlines(), geo.ylines(), target, geo.box)
         for axk, counts, cell in ((0, cols, geo.cell_h), (1, rows, geo.cell_w)):
             lo, hi = kernel.extrema(axk, kernel.stack(axk, counts * cell))
@@ -308,19 +307,19 @@ def test_batch_l1_brackets_match_l1_norm_diff_bitwise(geo, full):
 
 
 def test_sup_memo_is_bounded(monkeypatch):
-    monkeypatch.setattr(reconstruct, "_MEMO_CAP", 4)
+    monkeypatch.setattr(conic, "_MEMO_CAP", 4)
     geo = hv.GridGeometry(hv.Box(0.0, 5.0, 0.0, 5.0), 5, 5)
     target = hv.conic_of(hv.sample_hv_convex(geo, 3))
-    scorer = _SupScore(hv.ReconstructionProblem(target, geo))
+    scorer = _search_score(hv.ReconstructionProblem(target, geo))
     for k in range(40):
         L = hv.sample_hv_convex(geo, [59, k % 23])
         cols, rows = L.col_counts().tolist(), L.row_counts().tolist()
-        assert repr(scorer(cols, rows)) == repr(_SupScore(hv.ReconstructionProblem(target, geo))(cols, rows))
+        assert repr(scorer(cols, rows)) == repr(_search_score(hv.ReconstructionProblem(target, geo))(cols, rows))
         assert max(len(memo) for memo in scorer._memo) <= 4
     # a memo that keeps starting over leaves the annealer's run unchanged
     case = anneal_case((7, 7), (0, 7, 0, 7), 2, tdims=(11, 9))
     small = hv.local_search(*case)
-    monkeypatch.setattr(reconstruct, "_MEMO_CAP", 1 << 14)
+    monkeypatch.setattr(conic, "_MEMO_CAP", 1 << 14)
     full = hv.local_search(*case)
     assert (small.best, repr(small.trace), small.steps) == (full.best, repr(full.trace), full.steps)
 
@@ -376,7 +375,7 @@ def test_toggle_check_matches_public_predicates(m, n, full):
                                     sections_feasible(toggled.T, full))
                 whole, col_half, row_half = verdict[key]
                 assert (cmask[i] >> j & 1, rmask[j] >> i & 1) == (col_half, row_half), (cells, i, j)
-                assert _toggle_ok(cols, rows, i, j, full) == whole == (col_half and row_half)
+                assert whole == (col_half and row_half)
 
 
 # 1x9 with a full box has one feasible set, the full column, and no move
@@ -749,7 +748,7 @@ def test_corner_bound_is_below_score():
                        _off_grid_csv_target(geo, m * n),
                        hv.conic_of(hv.sample_hv_convex(hv.GridGeometry(far, m, n), rng))]
             for target in targets:
-                scorer = _SupScore(hv.ReconstructionProblem(target, geo))
+                scorer = _search_score(hv.ReconstructionProblem(target, geo))
                 margin = scorer._corners[-1]
                 for k in range(450):
                     if k % 2:
