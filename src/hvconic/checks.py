@@ -174,9 +174,7 @@ def check_concavity(L1: GridSet, L2: GridSet, t, samples=(33, 33)) -> CheckRepor
     ``PreconditionViolated`` unless both sets project onto the full box.
     """
     _require_level_pair(L1, L2)
-    px, py = samples
-    if not all(v >= 2 and v % 1 == 0 for v in (px, py)):
-        raise InvalidParameter("need at least a 2x2 sample lattice")
+    px, py = (InvalidParameter.whole(v, 2, "need at least a 2x2 sample lattice") for v in samples)
     frac = _as_fraction(t)
     p, q = frac.numerator, frac.denominator
     comb = combine(L1, L2, frac)
@@ -204,7 +202,7 @@ def check_concavity(L1: GridSet, L2: GridSet, t, samples=(33, 33)) -> CheckRepor
             float(np.linspace(g.box.c, g.box.d, py)[int(np.argmin(vy))]),
         ],
     }
-    return _verdict("concavity", margin, 0.0, witness, _digest(L1, L2, frac, samples))
+    return _verdict("concavity", margin, 0.0, witness, _digest(L1, L2, frac, (px, py)))
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +301,7 @@ def check_stability_bound(K: GridSet, L: GridSet, subsamples: int = 4) -> CheckR
     measured = sup_norm_diff(conic_of(K), conic_of(L), box)
     bound = (k / 2.0 + 2.0 * r) * 2.0 * k * r
     witness = {"k": k, "r_upper": r, "measured": measured, "bound": bound}
-    return _verdict("stability", bound - measured, 0.0, witness, _digest(K, L, subsamples))
+    return _verdict("stability", bound - measured, 0.0, witness, _digest(K, L, int(subsamples)))
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +366,8 @@ def check_convergence(
         margin = -math.inf
     else:
         margin = min(margins)
-    return _verdict("convergence", margin, 0.0, witness, _digest(L, [(g.m, g.n) for g in res], subsamples))
+    return _verdict("convergence", margin, 0.0, witness,
+                    _digest(L, [(g.m, g.n) for g in res], int(subsamples)))
 
 
 # ---------------------------------------------------------------------------

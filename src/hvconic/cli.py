@@ -103,7 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dist", help="Hausdorff bracket between two sets")
     p.add_argument("file1")
     p.add_argument("file2")
-    p.add_argument("--subsamples", type=int, default=4)
+    p.add_argument("--subsamples", type=int, default=None)
 
     p = sub.add_parser("verify", help="run an inequality checker batch")
     p.add_argument(
@@ -124,10 +124,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--box", type=_box, default=Box(0.0, 8.0, 0.0, 8.0), metavar="a,b,c,d",
                    help=box_help)
     p.add_argument("--t", type=_rational, default=Fraction(1, 2))
-    p.add_argument("--samples", type=_dims, default=(33, 33), metavar="PxQ")
+    p.add_argument("--samples", type=_dims, default=None, metavar="PxQ")
     p.add_argument("--eps", type=float, default=0.25)
     p.add_argument("--refine", type=int, default=None)
-    p.add_argument("--subsamples", type=int, default=4)
+    p.add_argument("--subsamples", type=int, default=None)
     p.add_argument("--resolutions", default=None, help="comma list like 2x2,4x4,8x8")
     p.add_argument("--segments", type=int, default=3)
     p.add_argument("--out", default=None, metavar="FILE")
@@ -175,8 +175,15 @@ def _cmd_conic(args) -> int:
     return 0
 
 
+def _given(**options) -> dict:
+    """The options the user gave: one left out (``None``) takes the
+    library's default."""
+    return {key: value for key, value in options.items() if value is not None}
+
+
 def _cmd_dist(args) -> int:
-    br = hausdorff(_read_set(args.file1), _read_set(args.file2), subsamples=args.subsamples)
+    br = hausdorff(_read_set(args.file1), _read_set(args.file2),
+                   **_given(subsamples=args.subsamples))
     print(f"{br.lower!r} {br.upper!r}")
     return 0
 
@@ -201,17 +208,16 @@ def _verify_reports(args):
     for k in range(args.seeds):
         if args.mode == "concavity":
             L1, L2 = _pair(geo, base, k, True)
-            yield checks.check_concavity(L1, L2, args.t, samples=args.samples)
+            yield checks.check_concavity(L1, L2, args.t, **_given(samples=args.samples))
         elif args.mode == "superadd":
             L1, L2 = _pair(geo, base, k, True)
             yield checks.check_area_superadditivity(L1, L2, args.t)
         elif args.mode == "dilation":
             L = sample_hv_convex(geo, [base, k])
-            yield checks.check_dilation_bound(
-                L, args.eps, refine=8 if args.refine is None else args.refine)
+            yield checks.check_dilation_bound(L, args.eps, **_given(refine=args.refine))
         elif args.mode == "stability":
             L1, L2 = _pair(geo, base, k, False)
-            yield checks.check_stability_bound(L1, L2, subsamples=args.subsamples)
+            yield checks.check_stability_bound(L1, L2, **_given(subsamples=args.subsamples))
         elif args.mode == "convergence":
             L = sample_hv_convex(geo, [base, k])
             if args.resolutions is None:
@@ -222,14 +228,13 @@ def _verify_reports(args):
                 res = [GridGeometry(args.box, mm, nn) for mm, nn in ladder]
             else:
                 res = [GridGeometry(args.box, *_dims(d)) for d in args.resolutions.split(",")]
-            yield checks.check_convergence(L, res, subsamples=args.subsamples)
+            yield checks.check_convergence(L, res, **_given(subsamples=args.subsamples))
         elif args.mode == "polyline":
             rng = _seeded_rng([base, k])
             xs = np.cumsum(rng.uniform(0.2, 1.0, args.segments + 1))
             ys = rng.uniform(0.0, 2.0, args.segments + 1)
             P = Polyline(zip(xs, ys))  # x-monotone, hence simple
-            yield checks.check_polyline_bound(
-                P, args.eps, refine=64 if args.refine is None else args.refine)
+            yield checks.check_polyline_bound(P, args.eps, **_given(refine=args.refine))
 
 
 def _cmd_verify(args) -> int:

@@ -582,8 +582,7 @@ def l1_norm_diff(E1: ConicEvaluator, E2: ConicEvaluator, box: Box, refine: int =
     each piece split ``refine`` times, plus a Lipschitz error bound from
     the exact slope ranges of the two separated terms.
     """
-    if not (refine >= 1 and refine % 1 == 0):
-        raise InvalidParameter(f"refine must be a positive integer, got {refine}")
+    refine = InvalidParameter.whole(refine, 1, f"refine must be a positive integer, got {refine}")
     diff = _FieldDiff(E1.yprofile.breakpoints, E1.xprofile.breakpoints, E2, box)
     one = np.zeros(1, dtype=np.intp)
     lower, upper = diff.l1(E1.yprofile, E1.xprofile, refine, one, one)
@@ -709,8 +708,7 @@ def parse_profile_csv(text: str, axis: str) -> XRayProfile:
 
 def _sample_field(E: ConicEvaluator, box: Box, px: int, py: int):
     """The ``px`` by ``py`` lattice over ``box`` and the field's values on it."""
-    if not all(v >= 2 and v % 1 == 0 for v in (px, py)):
-        raise InvalidParameter("need at least a 2x2 sample lattice")
+    px, py = (InvalidParameter.whole(v, 2, "need at least a 2x2 sample lattice") for v in (px, py))
     _check_raster(px, py)
     xs = np.linspace(box.a, box.b, px)
     ys = np.linspace(box.c, box.d, py)
@@ -735,7 +733,7 @@ def field_to_pgm(E: ConicEvaluator, box: Box, px: int, py: int) -> str:
         levels = np.zeros_like(grid, dtype=np.int64)
     else:
         levels = np.rint((grid - lo) / span * 65535).astype(np.int64)
-    lines = ["P2", f"{px} {py}", "65535"]
+    lines = ["P2", "{} {}".format(*grid.shape), "65535"]
     # top row of the image is the top of the box
     lines += [" ".join(map(str, row)) for row in levels.T[::-1].tolist()]
     return "\n".join(lines) + "\n"

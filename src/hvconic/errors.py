@@ -28,6 +28,15 @@ class ConicError(Exception):
 class InvalidParameter(ConicError, ValueError):
     """A numeric or structural argument is outside its documented range."""
 
+    @classmethod
+    def whole(cls, value, least: int, message: str) -> int:
+        """``int(value)`` of a whole number ``value >= least``, which may be
+        an integral float such as ``4.0``; anything else, NaN and inf
+        included, raises with ``message``."""
+        if not (value >= least and value % 1 == 0):
+            raise cls(message)
+        return int(value)
+
 
 class GeometryMismatch(ConicError, ValueError):
     """Two operands live on incompatible grids or reference boxes."""

@@ -106,8 +106,9 @@ class GridGeometry:
     n: int
 
     def __post_init__(self):
-        if not all(v >= 1 and v % 1 == 0 for v in (self.m, self.n)):
-            raise InvalidParameter(f"grid dims must be positive integers, got {self.m}x{self.n}")
+        message = f"grid dims must be positive integers, got {self.m}x{self.n}"
+        for name in ("m", "n"):
+            object.__setattr__(self, name, InvalidParameter.whole(getattr(self, name), 1, message))
 
     @property
     def cell_w(self) -> float:
@@ -130,8 +131,7 @@ class GridGeometry:
         return self.box.c + np.arange(self.n + 1) * self.cell_h
 
     def refined(self, k: int) -> "GridGeometry":
-        if not (k >= 1 and k % 1 == 0):
-            raise InvalidParameter(f"refinement factor must be an integer >= 1, got {k}")
+        k = InvalidParameter.whole(k, 1, f"refinement factor must be an integer >= 1, got {k}")
         return GridGeometry(self.box, self.m * k, self.n * k)
 
 
@@ -170,6 +170,7 @@ class GridSet:
 
     @classmethod
     def full(cls, geometry: GridGeometry) -> "GridSet":
+        _check_raster(geometry.m, geometry.n)
         return cls(geometry, np.ones((geometry.m, geometry.n), dtype=bool))
 
     @property
@@ -242,8 +243,11 @@ class GridSet:
 
     def refined(self, k: int) -> "GridSet":
         """The same point set represented on the ``k``-fold refined grid."""
+        geometry = self.geometry.refined(k)
+        _check_raster(geometry.m, geometry.n)
+        k = geometry.m // self.geometry.m
         mask = np.repeat(np.repeat(self.cells, k, axis=0), k, axis=1)
-        return GridSet(self.geometry.refined(k), mask)
+        return GridSet(geometry, mask)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GridSet):
@@ -514,6 +518,7 @@ def combine(L1: GridSet, L2: GridSet, t) -> GridSet:
     t = _as_fraction(t)
     p, q = t.numerator, t.denominator
     geom = L1.geometry.refined(q)
+    _check_raster(geom.m, geom.n)
     out = np.zeros((geom.m, geom.n), dtype=bool)
     idx1 = L1.occupied()
     idx2 = L2.occupied()
@@ -607,8 +612,7 @@ def dilate(L: GridSet, eps: float, refine: int = 4) -> tuple[GridSet, GridSet]:
     """
     if not (math.isfinite(eps) and eps > 0):
         raise InvalidParameter(f"dilation radius must be finite and positive, got {eps}")
-    if not (refine >= 1 and refine % 1 == 0):
-        raise InvalidParameter(f"refine must be a positive integer, got {refine}")
+    refine = InvalidParameter.whole(refine, 1, f"refine must be a positive integer, got {refine}")
     if L.is_empty:
         raise EmptySet("cannot dilate the empty set")
     g = L.geometry
@@ -656,6 +660,7 @@ def min_cover(L: GridSet, coarse: GridGeometry) -> GridSet:
         raise CoverageError(
             f"covering box {coarse.box.as_tuple()} does not contain the set"
         )
+    _check_raster(coarse.m, coarse.n)
     xov = _overlap_matrix(coarse.xlines(), L.geometry.xlines())
     yov = _overlap_matrix(coarse.ylines(), L.geometry.ylines())
     hits = xov @ L.cells.astype(np.int64) @ yov.T
@@ -686,6 +691,7 @@ def sample_hv_convex(geometry: GridGeometry, seed, require_full_box: bool = Fals
     bottom profile its bottom, which forces full projections on both axes.
     ``seed`` may also be a ``np.random.Generator``, which is drawn from as is.
     """
+    _check_raster(geometry.m, geometry.n)
     rng = _seeded_rng(seed)
     m, n = geometry.m, geometry.n
     if require_full_box:

@@ -93,8 +93,8 @@ def hausdorff(K: GridSet, L: GridSet, subsamples: int = 4) -> Bracket:
     """
     if K.is_empty or L.is_empty:
         raise EmptySet("Hausdorff distance needs non-empty sets")
-    if not (subsamples >= 2 and subsamples % 1 == 0):
-        raise InvalidParameter(f"subsamples must be an integer >= 2, got {subsamples}")
+    subsamples = InvalidParameter.whole(
+        subsamples, 2, f"subsamples must be an integer >= 2, got {subsamples}")
     d1 = _directed_bracket(K, L, subsamples)
     d2 = _directed_bracket(L, K, subsamples)
     return Bracket(max(d1.lower, d2.lower), max(d1.upper, d2.upper))
@@ -243,8 +243,7 @@ def tube_area(P: Polyline, eps: float, refine: int = 32) -> Bracket:
     """
     if not (math.isfinite(eps) and eps > 0):
         raise InvalidParameter(f"tube radius must be finite and positive, got {eps}")
-    if not (refine >= 1 and refine % 1 == 0):
-        raise InvalidParameter(f"refine must be a positive integer, got {refine}")
+    refine = InvalidParameter.whole(refine, 1, f"refine must be a positive integer, got {refine}")
     # the tube around one vertex alone spans 2 * refine raster cells a side,
     # checked before refine meets a float
     _check_raster(2 * refine, 2 * refine)

@@ -70,8 +70,8 @@ class ReconstructionProblem:
         if self.feasibility not in (FEAS_HV, FEAS_FULL):
             raise InvalidParameter(f"unknown feasibility {self.feasibility!r}")
         # the rule of l1_norm_diff's refine
-        if not (self.l1_refine >= 1 and self.l1_refine % 1 == 0):
-            raise InvalidParameter("l1_refine must be a positive integer")
+        object.__setattr__(self, "l1_refine", InvalidParameter.whole(
+            self.l1_refine, 1, "l1_refine must be a positive integer"))
 
     @functools.cached_property
     def _kernel(self) -> _FieldDiff:
@@ -123,8 +123,9 @@ class AnnealingParams:
         if not 0.0 < self.cooling < 1.0:
             raise InvalidParameter("cooling must lie strictly between 0 and 1")
         # zero steps allowed: the run then reports the initial sample
-        if not all(v >= 0 and v % 1 == 0 for v in (self.steps, self.restarts, self.seed)):
-            raise InvalidParameter("steps, restarts and seed must be non-negative integers")
+        message = "steps, restarts and seed must be non-negative integers"
+        for name in ("steps", "restarts", "seed"):
+            object.__setattr__(self, name, InvalidParameter.whole(getattr(self, name), 0, message))
 
 
 @dataclass(frozen=True)
@@ -430,7 +431,8 @@ def load_problem(path: str) -> tuple[ReconstructionProblem, AnnealingParams, str
     Layout: ``target`` is either ``{"hvset": FILE}`` or ``{"xray_csv":
     {"vertical": FILE, "horizontal": FILE}}``; plus ``box`` [a,b,c,d],
     ``dims`` [m,n], optional ``norm``/``l1_refine``/``feasibility``,
-    ``budget`` (annealing fields), ``seed`` and ``out_prefix``.  A field
+    ``budget`` (annealing fields, not ``seed``), ``seed`` and
+    ``out_prefix``; a field left out takes the dataclass default.  A field
     of the wrong type or shape raises :class:`FormatError`, and so does a
     string or a boolean in a numeric field (``box``, ``dims``,
     ``l1_refine``, the budget's numbers, ``seed``) and a fractional number
@@ -464,13 +466,9 @@ def load_problem(path: str) -> tuple[ReconstructionProblem, AnnealingParams, str
     else:
         raise FormatError("target must provide 'hvset' or 'xray_csv'")
 
-    problem = ReconstructionProblem(
-        target=target,
-        geometry=geometry,
-        norm=spec.get("norm", NORM_SUP),
-        feasibility=spec.get("feasibility", FEAS_HV),
-        l1_refine=_convert("l1_refine", spec.get("l1_refine", 4), _integer),
-    )
+    options = {key: _convert(key, spec[key], _integer) if key == "l1_refine" else spec[key]
+               for key in ("norm", "feasibility", "l1_refine") if key in spec}
+    problem = ReconstructionProblem(target=target, geometry=geometry, **options)
     budget = spec.get("budget", {})
     if not isinstance(budget, dict):
         raise FormatError(f"'budget' must be a JSON object, got {budget!r}")
@@ -478,9 +476,12 @@ def load_problem(path: str) -> tuple[ReconstructionProblem, AnnealingParams, str
         key: _convert(key, value, _BUDGET_FIELDS[key]) if key in _BUDGET_FIELDS else value
         for key, value in budget.items()
     }
-    seed = _convert("seed", spec.get("seed", 0), _integer)
+    if "seed" in fields:
+        raise FormatError("bad budget field: 'seed' belongs at the top level")
+    if "seed" in spec:
+        fields["seed"] = _convert("seed", spec["seed"], _integer)
     try:
-        params = AnnealingParams(seed=seed, **fields)
+        params = AnnealingParams(**fields)
     except TypeError as exc:
         raise FormatError(f"bad budget field: {exc}") from None
     return problem, params, str(spec.get("out_prefix", "reconstruction"))

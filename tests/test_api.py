@@ -4,7 +4,8 @@ frozen.
 Each module's ``__all__`` is its public API and the package re-exports
 exactly the union of those lists, so a name added to or dropped from a
 module shows here.  So does a private name newly imported from a sibling
-module, and an import nothing uses.
+module, an import nothing uses, a second copy of the whole-number rule and
+an ``assert`` in the package.
 """
 
 import ast
@@ -83,6 +84,29 @@ def test_every_imported_name_is_used():
                 for alias in node.names:
                     name = alias.asname or alias.name.split(".")[0]
                     assert name == "*" or name in used, f"{mod} imports {name!r} unused"
+
+
+def _is_whole_number_test(node) -> bool:
+    # ``value % 1 == 0``
+    return (isinstance(node, ast.Compare) and isinstance(node.left, ast.BinOp)
+            and isinstance(node.left.op, ast.Mod)
+            and isinstance(node.left.right, ast.Constant) and node.left.right.value == 1
+            and len(node.ops) == 1 and isinstance(node.ops[0], ast.Eq)
+            and isinstance(node.comparators[0], ast.Constant) and node.comparators[0].value == 0)
+
+
+def test_whole_number_rule_written_once():
+    # every integer parameter goes through InvalidParameter.whole
+    found = [mod for mod, tree in _sources().items()
+             for node in ast.walk(tree) if _is_whole_number_test(node)]
+    assert found == ["errors"]
+
+
+def test_package_has_no_assert():
+    # ``python -O`` strips asserts, so invariants are raised as errors
+    found = [(mod, node.lineno) for mod, tree in _sources().items()
+             for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_package_exports_the_frozen_names():

@@ -90,6 +90,9 @@ def test_concavity_preconditions():
     other = hv.GridSet.full(hv.GridGeometry(hv.Box(0, 8, 0, 9), 8, 8))
     with pytest.raises(GeometryMismatch):
         hv.check_concavity(L1, other, "1/2")
+    L2 = hv.sample_hv_convex(GEO88, 2, require_full_box=True)
+    assert hv.check_concavity(L1, L2, "1/2", samples=(3.0, 3)) == hv.check_concavity(
+        L1, L2, "1/2", samples=(3, 3))
     for samples in ((1, 5), (2.5, 33), (33, math.nan), (math.inf, 33)):
         with pytest.raises(InvalidParameter):
             hv.check_concavity(L1, L1, "1/2", samples=samples)

@@ -1,5 +1,6 @@
 """Command line front end, exercised in-process through ``run``."""
 
+import inspect
 import json
 import subprocess
 import sys
@@ -185,6 +186,30 @@ def test_verify_batches_pass(mode, extra, capsys):
     reports = [json.loads(line) for line in out.strip().splitlines()]
     assert reports and all(r["holds"] for r in reports)
     assert all(r["name"] for r in reports)
+
+
+@pytest.mark.parametrize(
+    "argv,func,name",
+    [
+        (["verify", "concavity", "--seeds", "2"], hv.check_concavity, "samples"),
+        (["verify", "dilation", "--seeds", "2"], hv.check_dilation_bound, "refine"),
+        (["verify", "stability", "--seeds", "2"], hv.check_stability_bound, "subsamples"),
+        (["verify", "convergence", "--seeds", "2"], hv.check_convergence, "subsamples"),
+        (["verify", "polyline", "--seeds", "2"], hv.check_polyline_bound, "refine"),
+        (["dist", "a.hvset", "b.hvset"], hv.hausdorff, "subsamples"),
+    ],
+)
+def test_left_out_option_takes_the_library_default(tmp_path, capsys, monkeypatch, argv, func,
+                                                   name):
+    monkeypatch.chdir(tmp_path)
+    geo = hv.GridGeometry(hv.Box(0, 6, 0, 6), 6, 6)
+    for k, path in enumerate(("a.hvset", "b.hvset")):
+        (tmp_path / path).write_text(hv.format_hvset(hv.sample_hv_convex(geo, k)), "utf-8")
+    default = inspect.signature(func).parameters[name].default
+    value = "x".join(map(str, default)) if isinstance(default, tuple) else str(default)
+    left_out = invoke(capsys, *argv)
+    assert left_out[0] == 0 and left_out[1]
+    assert invoke(capsys, *argv, f"--{name}", value) == left_out
 
 
 def test_verify_writes_jsonl(tmp_path, capsys):
@@ -398,6 +423,15 @@ ERROR_ROWS = {
     "overflow-refine-polyline": (["verify", "polyline", "--seeds", "1", "--refine", HUGE],
                                  "TooLarge"),
     **{name: (["reconstruct", f"{name}.json"], "FormatError") for name in NOT_A_NUMBER},
+    # grids past 2**24 cells are refused before their cell mask is allocated
+    "huge-gen": (["gen", "--dims", "100000x100000", "--box", "0,1,0,1"], "TooLarge"),
+    "huge-stability": (["verify", "stability", "--seeds", "1", "--dims", "100000x100000"],
+                       "TooLarge"),
+    "huge-convergence": (["verify", "convergence", "--seeds", "1", "--dims", "8x8",
+                          "--resolutions", "100000x100000"], "TooLarge"),
+    "huge-superadd": (["verify", "superadd", "--seeds", "1", "--dims", "200x200",
+                       "--t", "1/1000"], "TooLarge"),
+    "huge-reconstruct": (["reconstruct", "huge.json"], "TooLarge"),
 }
 
 
@@ -415,6 +449,7 @@ def test_domain_error_reports_class(tmp_path, capsys, monkeypatch, argv, cls):
         ("big", "good.hvset", [5, 4], {}),
         ("nan", "good.hvset", [2, 2], {"initial_temperature": float("nan")}),
         ("inf", "good.hvset", [2, 2], {"initial_temperature": float("inf")}),
+        ("huge", "good.hvset", [100000, 100000], {}),
     ):
         (tmp_path / f"{name}.json").write_text(
             json.dumps({"target": {"hvset": target}, "box": [0, 2, 0, 2], "dims": dims,
@@ -511,6 +546,7 @@ def _problem(tmp_path, **fields):
         {"dims": [2]},
         {"dims": [float("inf"), 2]},
         {"seed": "x"},
+        {"budget": {"seed": 2}},
         {"l1_refine": None},
         {"target": {"hvset": 5}},
         {"target": {"xray_csv": ["v.csv", "h.csv"]}},

@@ -410,6 +410,8 @@ def test_field_csv():
     assert "np.float64" not in text
     x, y, f = (float(p) for p in lines[5].split(","))
     assert f == pytest.approx(E.evaluate(x, y), rel=1e-13)
+    assert hv.field_to_csv(E, UNIT.box, 3.0, 3) == text
+    assert hv.field_to_pgm(E, UNIT.box, 3.0, 3) == hv.field_to_pgm(E, UNIT.box, 3, 3)
     for px in (2.5, math.nan, math.inf):
         with pytest.raises(InvalidParameter):
             hv.field_to_csv(E, UNIT.box, px, 3)

@@ -107,13 +107,26 @@ def test_geometry_lines_and_refinement():
     assert geo.cell_w == 1.0 and geo.cell_h == 1.0
     assert list(geo.xlines()) == [0.0, 1.0, 2.0]
     assert geo.refined(3).m == 6 and geo.refined(3).n == 3
+    # an integral float is a whole number, stored and used as its int
+    for floats, ints in ((hv.GridGeometry(GEO44.box, 4.0, 4), GEO44),
+                         (geo.refined(2.0), geo.refined(2))):
+        assert floats == ints and type(floats.m) is int and type(floats.n) is int
+        assert hv.GridSet.full(floats) == hv.GridSet.full(ints)
+    assert hv.count_hv_connected(hv.GridGeometry(GEO44.box, 4.0, 4)) == hv.count_hv_connected(GEO44)
     with pytest.raises(InvalidParameter):
         hv.GridGeometry(hv.Box(0, 1, 0, 1), 0, 3)
-    for bad in (2.5, math.nan, math.inf):
+    for bad in (2.5, -1, math.nan, math.inf):
         with pytest.raises(InvalidParameter):
             hv.GridGeometry(hv.Box(0, 1, 0, 1), bad, 3)
         with pytest.raises(InvalidParameter):
             geo.refined(bad)
+        # the factor is checked before any cell is repeated
+        with pytest.raises(InvalidParameter):
+            hv.GridSet.full(geo).refined(bad)
+    full = hv.GridSet.full(geo)
+    assert full.refined(3.0) == full.refined(3) == hv.GridSet.full(geo.refined(3))
+    with pytest.raises(TooLarge):
+        full.refined(10**30)
 
 
 def test_grid_set_is_immutable_and_hashable():
@@ -370,6 +383,10 @@ def test_dilate_bracket_invariants():
     for seed in range(10):
         L = hv.sample_hv_convex(GEO88, [31, seed])
         inner, outer = hv.dilate(L, 0.6, refine=4)
+        floats = hv.dilate(L, 0.6, refine=4.0)
+        assert floats == (inner, outer)
+        # an integral float refine gives int dims, which the HVSET text keeps
+        assert [hv.parse_hvset(hv.format_hvset(S)) for S in floats] == list(floats)
         assert hv.subset_of(L, outer)
         if not inner.is_empty:
             assert hv.subset_of(inner, outer)

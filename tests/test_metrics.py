@@ -72,6 +72,8 @@ def test_hausdorff_symmetry_and_subsample_narrowing():
     coarse = hv.hausdorff(A, B, subsamples=2)
     fine = hv.hausdorff(A, B, subsamples=8)
     assert coarse.lower <= fine.lower <= fine.upper <= coarse.upper
+    assert hv.hausdorff(A, B, subsamples=4.0) == hv.hausdorff(A, B, subsamples=4)
+    assert hv.check_stability_bound(A, B, subsamples=4.0) == hv.check_stability_bound(A, B)
     for bad in (1, 2.5, math.nan, math.inf):
         with pytest.raises(InvalidParameter):
             hv.hausdorff(A, B, subsamples=bad)

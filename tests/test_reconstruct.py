@@ -74,6 +74,14 @@ def test_problem_validation():
         with pytest.raises(InvalidParameter):
             hv.AnnealingParams(initial_temperature=bad)
     hv.AnnealingParams(steps=0)  # explicitly allowed
+    assert type(problem_for(hv.GridSet.full(GEO22), l1_refine=4.0).l1_refine) is int
+    # integral floats are whole numbers, stored as ints: the same budget
+    floats = hv.AnnealingParams(steps=10.0, restarts=1.0, seed=1.0)
+    ints = hv.AnnealingParams(steps=10, restarts=1, seed=1)
+    assert floats == ints and all(type(v) is int for v in (floats.steps, floats.restarts, floats.seed))
+    prob = problem_for(hv.sample_hv_convex(GEO33, 4))
+    a, b = hv.local_search(prob, floats), hv.local_search(prob, ints)
+    assert (a.best, a.objective, a.trace, a.steps) == (b.best, b.objective, b.trace, b.steps)
 
 
 # ---------------------------------------------------------------------------
