@@ -161,6 +161,7 @@ class GridSet:
 
     @classmethod
     def from_cells(cls, geometry: GridGeometry, pairs) -> "GridSet":
+        _check_raster(geometry.m, geometry.n)
         arr = np.zeros((geometry.m, geometry.n), dtype=bool)
         for i, j in pairs:
             if not (0 <= i < geometry.m and 0 <= j < geometry.n):

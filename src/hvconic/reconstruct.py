@@ -15,8 +15,10 @@ into results.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,6 +128,9 @@ class AnnealingParams:
         message = "steps, restarts and seed must be non-negative integers"
         for name in ("steps", "restarts", "seed"):
             object.__setattr__(self, name, InvalidParameter.whole(getattr(self, name), 0, message))
+        # a chain draws all its proposals up front, about 64 bytes a step
+        if self.steps > 2**22:
+            raise TooLarge(f"steps {self.steps} exceed the cap of 2**22 per chain")
 
 
 @dataclass(frozen=True)
@@ -265,20 +270,20 @@ def local_search(problem: ReconstructionProblem, params: AnnealingParams) -> Rec
     Proposals toggling a uniformly random cell are rejected outright when
     the toggled set leaves the feasible family: each column and each row
     keeps the mask of positions whose toggle it allows (``_line_mask``),
-    and a proposal is feasible when both its bits are set.  An accepted
-    toggle of ``(i, j)`` changes column ``i`` and row ``j``, so it marks
-    the masks of columns ``i-1..i+1`` and rows ``j-1..j+1`` stale; a stale
-    mask is rebuilt when a proposal next reads it.  Otherwise improving
-    moves are always taken and worsening ones with the Metropolis
-    probability at the geometrically cooled temperature.  For the sup norm
-    a proposal whose corner bound (the sup scorer's ``corner_bound``, kept in
-    O(1) per accepted toggle from the cell count and the two count
-    moments) already fails the Metropolis test is rejected unscored: the
-    bound never exceeds the score, so the test would fail on the score
-    too, and every decision is the one the score would make.  One
-    generator stream per chain (``restarts + 1`` chains), all derived from
-    the seed, so runs are reproducible.  Stops early once the best
-    objective reaches exact zero, which no feasible set can beat.
+    and a proposal is feasible when both its bits are set.  A chain builds
+    every mask at its start; an accepted toggle of ``(i, j)`` changes column
+    ``i`` and row ``j``, so it rebuilds the masks of columns ``i-1..i+1``
+    and rows ``j-1..j+1``, and every mask a proposal reads is fresh.
+    Otherwise improving moves are always taken and worsening ones with the
+    Metropolis probability at the geometrically cooled temperature.  For
+    the sup norm a proposal whose corner bound (the sup scorer's
+    ``corner_bound``, kept in O(1) per accepted toggle from the cell count
+    and the two count moments) already fails the Metropolis test is
+    rejected unscored: the bound never exceeds the score, so the test would
+    fail on the score too, and every decision is the one the score would
+    make.  One generator stream per chain (``restarts + 1`` chains), all
+    derived from the seed, so runs are reproducible.  Stops early once the
+    best objective reaches exact zero, which no feasible set can beat.
     """
     g = problem.geometry
     m, n = g.m, g.n
@@ -286,7 +291,7 @@ def local_search(problem: ReconstructionProblem, params: AnnealingParams) -> Rec
     score = _search_score(problem)
     bound = score.corner_bound if problem.norm == NORM_SUP else lambda *moments: -math.inf
 
-    # the lines whose masks a toggle in line k makes stale: k and its neighbours
+    # the lines whose masks a toggle in line k changes: k and its neighbours
     near_c = [range(max(i - 1, 0), min(i + 2, m)) for i in range(m)]
     near_r = [range(max(j - 1, 0), min(j + 2, n)) for j in range(n)]
 
@@ -314,51 +319,44 @@ def local_search(problem: ReconstructionProblem, params: AnnealingParams) -> Rec
 
         t_i, t_j = (t.tolist() for t in np.divmod(rng.integers(0, m * n, size=params.steps), n))
         coins = rng.random(params.steps).tolist()
-        cmask, rmask = [None] * m, [None] * n  # None marks a stale mask
-        T = params.initial_temperature
-        for i, j, coin in zip(t_i, t_j, coins):
+        # T0, T0*c, (T0*c)*c, ...: multiplied step by step, not T0 * c**k,
+        # whose floats differ
+        temps = itertools.accumulate(itertools.repeat(params.cooling, params.steps), operator.mul,
+                                     initial=params.initial_temperature)
+        cmask = [_line_mask(cols, i, n, full_box) for i in range(m)]
+        rmask = [_line_mask(rows, j, m, full_box) for j in range(n)]
+        for i, j, coin, T in zip(t_i, t_j, coins, temps):
             total_steps += 1
-            cm = cmask[i]
-            if cm is None:
-                cm = cmask[i] = _line_mask(cols, i, n, full_box)
-            # a column that refuses the toggle spares the row its mask
-            rm = rmask[j] if cm >> j & 1 else 0
-            if rm is None:
-                rm = rmask[j] = _line_mask(rows, j, m, full_box)
-            if rm >> i & 1:
-                delta = -1 if (cols[i] >> j) & 1 else 1
-                di, dj = delta * (2 * i + 1), delta * (2 * j + 1)
-                lb = bound(cells + delta, s_c + di, s_r + dj)
-                if lb > cur and (T == 0.0 or coin >= math.exp((cur - lb) / T) * _EXP_SLACK):
-                    accept = False
-                else:
-                    ccounts[i] += delta
-                    rcounts[j] += delta
-                    val = score(ccounts, rcounts)
-                    accept = val <= cur or (
-                        T > 0.0 and coin < math.exp((cur - val) / T)
-                    )
-                    if not accept:
-                        ccounts[i] -= delta
-                        rcounts[j] -= delta
-                if accept:
-                    cols[i] ^= 1 << j
-                    rows[j] ^= 1 << i
-                    for c in near_c[i]:
-                        cmask[c] = None
-                    for r in near_r[j]:
-                        rmask[r] = None
-                    cells += delta
-                    s_c += di
-                    s_r += dj
-                    cur = val
-                    if cur < best_val:
-                        best_val = cur
-                        best_cols = list(cols)
-                        trace.append((total_steps, cur))
-                        if best_val == 0.0:
-                            break
-            T *= params.cooling
+            if not (cmask[i] >> j & 1 and rmask[j] >> i & 1):
+                continue
+            delta = -1 if (cols[i] >> j) & 1 else 1
+            di, dj = delta * (2 * i + 1), delta * (2 * j + 1)
+            lb = bound(cells + delta, s_c + di, s_r + dj)
+            if lb > cur and (T == 0.0 or coin >= math.exp((cur - lb) / T) * _EXP_SLACK):
+                continue
+            ccounts[i] += delta
+            rcounts[j] += delta
+            val = score(ccounts, rcounts)
+            if not (val <= cur or (T > 0.0 and coin < math.exp((cur - val) / T))):
+                ccounts[i] -= delta
+                rcounts[j] -= delta
+                continue
+            cols[i] ^= 1 << j
+            rows[j] ^= 1 << i
+            for c in near_c[i]:
+                cmask[c] = _line_mask(cols, c, n, full_box)
+            for r in near_r[j]:
+                rmask[r] = _line_mask(rows, r, m, full_box)
+            cells += delta
+            s_c += di
+            s_r += dj
+            cur = val
+            if cur < best_val:
+                best_val = cur
+                best_cols = list(cols)
+                trace.append((total_steps, cur))
+                if best_val == 0.0:
+                    break
         if best_val == 0.0:
             break
 
@@ -432,12 +430,12 @@ def load_problem(path: str) -> tuple[ReconstructionProblem, AnnealingParams, str
     {"vertical": FILE, "horizontal": FILE}}``; plus ``box`` [a,b,c,d],
     ``dims`` [m,n], optional ``norm``/``l1_refine``/``feasibility``,
     ``budget`` (annealing fields, not ``seed``), ``seed`` and
-    ``out_prefix``; a field left out takes the dataclass default.  A field
-    of the wrong type or shape raises :class:`FormatError`, and so does a
-    string or a boolean in a numeric field (``box``, ``dims``,
-    ``l1_refine``, the budget's numbers, ``seed``) and a fractional number
-    in an integer field (``dims``, ``l1_refine``, ``steps``, ``restarts``,
-    ``seed``).
+    ``out_prefix`` (a path string, default ``reconstruction``); a field
+    left out takes the dataclass default.  A field of the wrong type or
+    shape raises :class:`FormatError`, and so does a string or a boolean in
+    a numeric field (``box``, ``dims``, ``l1_refine``, the budget's
+    numbers, ``seed``) and a fractional number in an integer field
+    (``dims``, ``l1_refine``, ``steps``, ``restarts``, ``seed``).
     """
     with open(path, encoding="utf-8") as fh:
         try:
@@ -484,7 +482,7 @@ def load_problem(path: str) -> tuple[ReconstructionProblem, AnnealingParams, str
         params = AnnealingParams(**fields)
     except TypeError as exc:
         raise FormatError(f"bad budget field: {exc}") from None
-    return problem, params, str(spec.get("out_prefix", "reconstruction"))
+    return problem, params, _path(spec, "out_prefix") if "out_prefix" in spec else "reconstruction"
 
 
 def write_result(result: ReconstructionResult, out_prefix: str) -> tuple[str, str]:

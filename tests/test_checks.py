@@ -6,6 +6,7 @@ import math
 import pytest
 
 import hvconic as hv
+from hvconic import checks
 from hvconic.errors import (
     GeometryMismatch,
     InvalidParameter,
@@ -253,6 +254,18 @@ def test_convergence_single_coarse_cell():
     L = hv.sample_hv_convex(GEO88, 31, require_full_box=True)
     rep = hv.check_convergence(L, [hv.GridGeometry(GEO88.box, 1, 1)])
     assert rep.holds
+
+
+def test_convergence_lost_predicate_fails_with_minus_inf(monkeypatch):
+    # no valid cover loses a predicate, so a stand-in min_cover returns a
+    # disconnected one; the report names the first step that lost it
+    L = hv.sample_hv_convex(GEO88, 25)
+    coarse = hv.GridGeometry(GEO88.box, 4, 4)
+    gap = hv.GridSet.from_cells(coarse, [(0, 0), (0, 2)])
+    monkeypatch.setattr(checks, "min_cover", lambda L, geo: gap)
+    rep = hv.check_convergence(L, [coarse, GEO88])
+    assert rep.margin == -math.inf and rep.holds is False
+    assert rep.witness["failed_predicate_at"] == 0
 
 
 def test_convergence_preconditions():

@@ -2,6 +2,9 @@
 
 import inspect
 import json
+import pathlib
+import re
+import shlex
 import subprocess
 import sys
 
@@ -131,6 +134,14 @@ def test_conic_csv_and_pgm(tmp_path, capsys):
     assert lines[0] == "x,y,f" and len(lines) == 1 + 9 * 7
     pgm = pgm_path.read_text(encoding="utf-8").splitlines()
     assert pgm[0] == "P2" and pgm[1] == "9 7" and pgm[2] == "65535"
+    # the full 2x2 set's field is flat at the four cell centres: all levels 0
+    full = tmp_path / "full.hvset"
+    full.write_text(hv.format_hvset(hv.GridSet.full(hv.GridGeometry(hv.Box(0, 2, 0, 2), 2, 2))),
+                    encoding="utf-8")
+    code, _, _ = invoke(capsys, "conic", str(full), "--samples", "2x2",
+                        "--out", str(csv_path), "--pgm", str(pgm_path))
+    assert code == 0
+    assert pgm_path.read_text(encoding="utf-8") == "P2\n2 2\n65535\n0 0\n0 0\n"
 
 
 def test_dist_equal_sets(tmp_path, capsys):
@@ -432,6 +443,8 @@ ERROR_ROWS = {
     "huge-superadd": (["verify", "superadd", "--seeds", "1", "--dims", "200x200",
                        "--t", "1/1000"], "TooLarge"),
     "huge-reconstruct": (["reconstruct", "huge.json"], "TooLarge"),
+    # a chain draws every proposal up front, so its steps are capped
+    "huge-steps": (["reconstruct", "huge-steps.json"], "TooLarge"),
 }
 
 
@@ -450,6 +463,7 @@ def test_domain_error_reports_class(tmp_path, capsys, monkeypatch, argv, cls):
         ("nan", "good.hvset", [2, 2], {"initial_temperature": float("nan")}),
         ("inf", "good.hvset", [2, 2], {"initial_temperature": float("inf")}),
         ("huge", "good.hvset", [100000, 100000], {}),
+        ("huge-steps", "good.hvset", [2, 2], {"steps": 1e12}),
     ):
         (tmp_path / f"{name}.json").write_text(
             json.dumps({"target": {"hvset": target}, "box": [0, 2, 0, 2], "dims": dims,
@@ -481,6 +495,13 @@ def test_usage_errors_exit_two(capsys):
     assert invoke(capsys, "nosuchcommand")[0] == 2
     assert invoke(capsys, "verify", "nosuchmode")[0] == 2
     assert invoke(capsys)[0] == 2
+    assert invoke(capsys, "gen", "--dims", "0x4", "--box", "0,1,0,1")[0] == 2
+    # --resolutions is parsed by the command, not by argparse
+    for ladder in ("0x2", "2x2,bad"):
+        code, out, err = invoke(capsys, "verify", "convergence", "--seeds", "1",
+                                "--resolutions", ladder)
+        assert code == 2 and out == ""
+        assert err.startswith("usage error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -550,6 +571,10 @@ def _problem(tmp_path, **fields):
         {"l1_refine": None},
         {"target": {"hvset": 5}},
         {"target": {"xray_csv": ["v.csv", "h.csv"]}},
+        {"budget": {"foo": 1}},
+        {"out_prefix": None},
+        {"out_prefix": ["a", "b"]},
+        {"out_prefix": 5},
     ],
 )
 def test_bad_problem_field_is_format_error(tmp_path, capsys, fields):
@@ -580,6 +605,31 @@ def test_parser_built_once_and_output_unchanged(capsys):
     second = invoke(capsys, "gen", "--dims", "4x4")
     assert first == second and first[0] == 2 and "--box" in first[2]
     assert invoke(capsys, "enum", "--dims", "2x2") == (0, "15\n", "")
+
+
+def test_readme_commands_run(tmp_path, capsys, monkeypatch):
+    # every hvconic line of the README's CLI block, in a directory holding
+    # the files those lines read: M.hvset, and problem.json from the
+    # README's problem-file block with its target made by gen
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    cli = readme.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    commands = re.search(r"```sh\n(.*?)```", cli, re.S).group(1)
+    problem = re.search(r"```json\n(.*?)```", cli, re.S).group(1)
+    lines = [line for line in commands.splitlines() if line.startswith("hvconic ")]
+    assert lines
+    monkeypatch.chdir(tmp_path)
+    spec = json.loads(problem)
+    (tmp_path / "problem.json").write_text(problem, encoding="utf-8")
+    # the target's seed differs from the problem's, so chain 0 does not
+    # start on the target
+    for dims, box, seed, out in (("8x8", "0,8,0,8", 8, "M.hvset"),
+                                 ("{}x{}".format(*spec["dims"]), ",".join(map(str, spec["box"])),
+                                  spec["seed"] + 1, spec["target"]["hvset"])):
+        assert invoke(capsys, "gen", "--dims", dims, "--box", box, "--seed", str(seed),
+                      "--out", out)[0] == 0
+    for line in lines:
+        code, _, err = invoke(capsys, *shlex.split(line, comments=True)[1:])
+        assert code == 0, (line, err)
 
 
 def test_console_entry_subprocess():

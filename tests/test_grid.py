@@ -127,6 +127,11 @@ def test_geometry_lines_and_refinement():
     assert full.refined(3.0) == full.refined(3) == hv.GridSet.full(geo.refined(3))
     with pytest.raises(TooLarge):
         full.refined(10**30)
+    # every mask constructor checks the grid's size before allocating
+    huge = hv.GridGeometry(hv.Box(0, 1, 0, 1), 100000, 100000)
+    for build in (hv.GridSet.full, lambda g: hv.GridSet.from_cells(g, [(0, 0)])):
+        with pytest.raises(TooLarge):
+            build(huge)
 
 
 def test_grid_set_is_immutable_and_hashable():

@@ -74,6 +74,12 @@ def test_problem_validation():
         with pytest.raises(InvalidParameter):
             hv.AnnealingParams(initial_temperature=bad)
     hv.AnnealingParams(steps=0)  # explicitly allowed
+    # a chain draws its proposals up front: a step budget past 2**22 is
+    # refused before anything is drawn
+    assert hv.AnnealingParams(steps=2**22).steps == 2**22
+    for huge in (2**22 + 1, 1e12):
+        with pytest.raises(TooLarge):
+            hv.AnnealingParams(steps=huge)
     assert type(problem_for(hv.GridSet.full(GEO22), l1_refine=4.0).l1_refine) is int
     # integral floats are whole numbers, stored as ints: the same budget
     floats = hv.AnnealingParams(steps=10.0, restarts=1.0, seed=1.0)
@@ -390,35 +396,29 @@ def test_toggle_check_matches_public_predicates(m, n, full):
 @pytest.mark.parametrize("m,n,full", [(7, 7, False), (7, 7, True), (1, 9, False)])
 def test_kept_masks_match_fresh_masks(m, n, full):
     # a seeded walk of feasible toggles that keeps masks as the annealer
-    # does: a toggle of (i, j) marks columns i-1..i+1 and rows j-1..j+1
-    # stale, and a stale mask is rebuilt when read; after every move each
-    # mask not marked stale equals a fresh one
+    # does: a toggle of (i, j) rebuilds the masks of columns i-1..i+1 and
+    # rows j-1..j+1 only; after every move every mask equals a fresh one
     geo = hv.GridGeometry(hv.Box(0, m, 0, n), m, n)
     rng = np.random.default_rng([151, m, n, full])
     start = hv.sample_hv_convex(geo, rng, require_full_box=full)
     cols, rows = _line_bits(start.cells), _line_bits(start.cells.T)
-    cmask, rmask = [None] * m, [None] * n
+    cmask = [_line_mask(cols, i, n, full) for i in range(m)]
+    rmask = [_line_mask(rows, j, m, full) for j in range(n)]
     moves = 0
     for _ in range(3000):
         i, j = divmod(int(rng.integers(m * n)), n)
-        if cmask[i] is None:
-            cmask[i] = _line_mask(cols, i, n, full)
-        if not cmask[i] >> j & 1:
-            continue
-        if rmask[j] is None:
-            rmask[j] = _line_mask(rows, j, m, full)
-        if not rmask[j] >> i & 1:
+        if not (cmask[i] >> j & 1 and rmask[j] >> i & 1):
             continue
         cols[i] ^= 1 << j
         rows[j] ^= 1 << i
         for c in range(max(i - 1, 0), min(i + 2, m)):
-            cmask[c] = None
+            cmask[c] = _line_mask(cols, c, n, full)
         for r in range(max(j - 1, 0), min(j + 2, n)):
-            rmask[r] = None
+            rmask[r] = _line_mask(rows, r, m, full)
         moves += 1
         for lines, masks, size in ((cols, cmask, n), (rows, rmask, m)):
             for k, mask in enumerate(masks):
-                assert mask is None or mask == _line_mask(lines, k, size, full), (moves, k)
+                assert mask == _line_mask(lines, k, size, full), (moves, k)
         L = hv.GridSet(geo, np.array([[c >> j & 1 for j in range(n)] for c in cols], dtype=bool))
         assert hv.is_hv_convex(L) and hv.is_connected(L)
         assert not full or hv.in_level_set(L, geo.box)
@@ -735,6 +735,36 @@ def test_local_search_l1_digest_frozen():
     assert len(runs) == 8
     digest = hashlib.sha256(repr(runs).encode()).hexdigest()
     assert digest == "f2c8a59afe43c28bc7cc4927e73d717e80ff8da437b9146e2c42ef9a4dc6be40"
+
+
+def _large_grid_digest_cases():
+    # 8 problems on the largest grids, where an accepted toggle rebuilds
+    # the most masks: 16x16 sup in both feasibility modes, 12x9 sup and
+    # l1, each on on-grid and off-grid X-ray CSV targets, 2 chains each
+    for k, (dims, box, norm, feas, steps, t0) in enumerate([
+            ((16, 16), (0, 16, 0, 16), "sup", "hv_connected", 20000, 40.0),
+            ((16, 16), BOX_OFF, "sup", "hv_connected_full_box", 20000, 4.0),
+            ((12, 9), (0, 0.9, 0, 0.9), "sup", "hv_connected", 6000, 4.0),
+            ((12, 9), BOX_OFF, "l1", "hv_connected", 600, 16.0)]):
+        geo = hv.GridGeometry(hv.Box(*box), *dims)
+        full = feas == "hv_connected_full_box"
+        on_grid = _csv_round_trip(hv.sample_hv_convex(geo, [157, k], require_full_box=full))
+        for target in (on_grid, _off_grid_csv_target(geo, 163 + k)):
+            yield (hv.ReconstructionProblem(target, geo, norm=norm, feasibility=feas),
+                   hv.AnnealingParams(initial_temperature=t0, steps=steps, restarts=1,
+                                      seed=167 + k))
+
+
+def test_local_search_large_grid_digest_frozen():
+    # frozen from the annealer that rebuilt a stale mask when a proposal
+    # next read it
+    runs = []
+    for prob, params in _large_grid_digest_cases():
+        res = hv.local_search(prob, params)
+        runs.append((res.best.cells.tobytes(), repr(res.objective), res.steps, repr(res.trace)))
+    assert len(runs) == 8
+    digest = hashlib.sha256(repr(runs).encode()).hexdigest()
+    assert digest == "480a71f9f9dc3383e5ccb044350b62f9dec8076582383df1e0068a83d47ad52a"
 
 
 def test_corner_bound_is_below_score():
