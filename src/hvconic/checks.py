@@ -26,7 +26,6 @@ from .grid import (
     Box,
     GridGeometry,
     GridSet,
-    _as_fraction,
     combine,
     dilate,
     format_hvset,
@@ -86,7 +85,7 @@ class CheckReport:
         return json.dumps(self.as_dict(), sort_keys=True)
 
 
-def _verdict(name, margin, bracket_error=0.0, witness=None, digest=""):
+def _verdict(name, margin, bracket_error, witness, digest):
     return CheckReport(
         name=name,
         holds=bool(margin >= -bracket_error),
@@ -175,7 +174,7 @@ def check_concavity(L1: GridSet, L2: GridSet, t, samples=(33, 33)) -> CheckRepor
     """
     _require_level_pair(L1, L2)
     px, py = (InvalidParameter.whole(v, 2, "need at least a 2x2 sample lattice") for v in samples)
-    frac = _as_fraction(t)
+    frac = InvalidParameter.weight(t)
     p, q = frac.numerator, frac.denominator
     comb = combine(L1, L2, frac)
     g = L1.geometry
@@ -220,7 +219,7 @@ def _area_margin(L1: GridSet, L2: GridSet, frac: Fraction):
 def check_area_superadditivity(L1: GridSet, L2: GridSet, t) -> CheckReport:
     """Area of the combination dominates the area mixture (exact counts)."""
     _require_level_pair(L1, L2)
-    frac = _as_fraction(t)
+    frac = InvalidParameter.weight(t)
     comb, margin = _area_margin(L1, L2, frac)
     witness = {
         "area_combined": comb.area(),

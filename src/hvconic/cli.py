@@ -22,7 +22,6 @@ from .errors import ConicError, InvalidParameter
 from .grid import (
     Box,
     GridGeometry,
-    _seeded_rng,
     count_hv_connected,
     enumerate_hv_connected,
     format_hvset,
@@ -205,6 +204,8 @@ def _verify_reports(args):
     if args.mode == "remark2":
         yield checks.reproduce_remark2()
         return
+    if base < 0:
+        raise InvalidParameter(f"seed must be a non-negative integer, got {base}")
     for k in range(args.seeds):
         if args.mode == "concavity":
             L1, L2 = _pair(geo, base, k, True)
@@ -230,7 +231,7 @@ def _verify_reports(args):
                 res = [GridGeometry(args.box, *_dims(d)) for d in args.resolutions.split(",")]
             yield checks.check_convergence(L, res, **_given(subsamples=args.subsamples))
         elif args.mode == "polyline":
-            rng = _seeded_rng([base, k])
+            rng = np.random.default_rng([base, k])
             xs = np.cumsum(rng.uniform(0.2, 1.0, args.segments + 1))
             ys = rng.uniform(0.0, 2.0, args.segments + 1)
             P = Polyline(zip(xs, ys))  # x-monotone, hence simple

@@ -22,8 +22,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import FormatError, GeometryMismatch, InvalidParameter, ZeroMass
-from .grid import Box, GridSet, _check_raster
+from .errors import FormatError, GeometryMismatch, InvalidParameter, TooLarge, ZeroMass
+from .grid import Box, GridSet
 from .metrics import Bracket
 
 __all__ = [
@@ -95,6 +95,8 @@ class XRayProfile:
     def value_at(self, t: float) -> float:
         """Plateau value at ``t``; the larger neighbour exactly on a breakpoint."""
         bp, vals = self.breakpoints, self.values
+        if math.isnan(t):
+            raise InvalidParameter("profile argument is NaN")
         if t < bp[0] or t > bp[-1]:
             return 0.0
         k = int(np.searchsorted(bp, t, side="right")) - 1
@@ -709,7 +711,7 @@ def parse_profile_csv(text: str, axis: str) -> XRayProfile:
 def _sample_field(E: ConicEvaluator, box: Box, px: int, py: int):
     """The ``px`` by ``py`` lattice over ``box`` and the field's values on it."""
     px, py = (InvalidParameter.whole(v, 2, "need at least a 2x2 sample lattice") for v in (px, py))
-    _check_raster(px, py)
+    TooLarge.raster(px, py)
     xs = np.linspace(box.a, box.b, px)
     ys = np.linspace(box.c, box.d, py)
     return xs, ys, E.evaluate_grid(xs, ys)

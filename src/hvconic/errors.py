@@ -1,4 +1,5 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the input rules that
+its modules share, each a classmethod of the error it raises.
 
 Every domain error raised by this package derives from :class:`ConicError`
 so callers (in particular the command line front end) can catch one base
@@ -6,6 +7,10 @@ class and map it to a machine-readable failure.
 """
 
 from __future__ import annotations
+
+import math
+import sys
+from fractions import Fraction
 
 __all__ = [
     "ConicError",
@@ -19,6 +24,9 @@ __all__ = [
     "NonSimpleChain",
     "FormatError",
 ]
+
+# the most cells a grid mask or a raster may hold (128 MiB of distances)
+_RASTER_CELLS = 1 << 24
 
 
 class ConicError(Exception):
@@ -37,6 +45,26 @@ class InvalidParameter(ConicError, ValueError):
             raise cls(message)
         return int(value)
 
+    @classmethod
+    def weight(cls, t) -> Fraction:
+        """The combination weight ``t`` (a ``Fraction``, a ``(p, q)`` pair
+        or anything ``Fraction`` parses) as a ``Fraction`` in ``[0, 1]``."""
+        try:
+            if isinstance(t, Fraction):
+                f = t
+            elif isinstance(t, tuple) and len(t) == 2:
+                f = Fraction(int(t[0]), int(t[1]))
+            else:
+                f = Fraction(t)
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            raise cls(f"bad combination weight {t!r}: {exc}") from None
+        if not 0 <= f <= 1:
+            raise cls(f"combination weight {t} outside [0, 1]")
+        if f.denominator > 1024:
+            raise cls(f"weight denominator {f.denominator} too large; pass an exact "
+                      "rational such as Fraction(1, 3)")
+        return f
+
 
 class GeometryMismatch(ConicError, ValueError):
     """Two operands live on incompatible grids or reference boxes."""
@@ -52,6 +80,16 @@ class CoverageError(ConicError, ValueError):
 
 class TooLarge(ConicError, ValueError):
     """An exhaustive operation was requested on a grid beyond its guard."""
+
+    @classmethod
+    def raster(cls, cols, rows) -> None:
+        """Raise unless a ``cols`` by ``rows`` raster fits.  The sizes are
+        ints or floats; one beyond float range counts as inf, and so does a
+        product that overflows."""
+        cols, rows = (float(v) if v <= sys.float_info.max else math.inf for v in (cols, rows))
+        cells = cols * rows
+        if not (math.isfinite(cells) and cells <= _RASTER_CELLS):
+            raise cls(f"a {cols:.3g} x {rows:.3g} raster exceeds {_RASTER_CELLS} cells")
 
 
 class ZeroMass(ConicError, ValueError):

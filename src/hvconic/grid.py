@@ -18,9 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -161,7 +159,7 @@ class GridSet:
 
     @classmethod
     def from_cells(cls, geometry: GridGeometry, pairs) -> "GridSet":
-        _check_raster(geometry.m, geometry.n)
+        TooLarge.raster(geometry.m, geometry.n)
         arr = np.zeros((geometry.m, geometry.n), dtype=bool)
         for i, j in pairs:
             if not (0 <= i < geometry.m and 0 <= j < geometry.n):
@@ -171,7 +169,7 @@ class GridSet:
 
     @classmethod
     def full(cls, geometry: GridGeometry) -> "GridSet":
-        _check_raster(geometry.m, geometry.n)
+        TooLarge.raster(geometry.m, geometry.n)
         return cls(geometry, np.ones((geometry.m, geometry.n), dtype=bool))
 
     @property
@@ -245,7 +243,7 @@ class GridSet:
     def refined(self, k: int) -> "GridSet":
         """The same point set represented on the ``k``-fold refined grid."""
         geometry = self.geometry.refined(k)
-        _check_raster(geometry.m, geometry.n)
+        TooLarge.raster(geometry.m, geometry.n)
         k = geometry.m // self.geometry.m
         mask = np.repeat(np.repeat(self.cells, k, axis=0), k, axis=1)
         return GridSet(geometry, mask)
@@ -487,23 +485,6 @@ def _line_mask(lines: list, k: int, size: int, full_box: bool) -> int:
 # convex combination
 
 
-def _as_fraction(t) -> Fraction:
-    if isinstance(t, Fraction):
-        f = t
-    elif isinstance(t, tuple) and len(t) == 2:
-        f = Fraction(int(t[0]), int(t[1]))
-    else:
-        f = Fraction(t)
-    if not 0 <= f <= 1:
-        raise InvalidParameter(f"combination weight {t} outside [0, 1]")
-    if f.denominator > 1024:
-        raise InvalidParameter(
-            f"weight denominator {f.denominator} too large; pass an exact "
-            "rational such as Fraction(1, 3)"
-        )
-    return f
-
-
 def combine(L1: GridSet, L2: GridSet, t) -> GridSet:
     """Pointwise convex combination ``t * L1 + (1 - t) * L2`` (Minkowski).
 
@@ -516,10 +497,10 @@ def combine(L1: GridSet, L2: GridSet, t) -> GridSet:
         raise GeometryMismatch("operands live on different grids")
     if L1.is_empty or L2.is_empty:
         raise EmptySet("convex combination needs two non-empty sets")
-    t = _as_fraction(t)
+    t = InvalidParameter.weight(t)
     p, q = t.numerator, t.denominator
     geom = L1.geometry.refined(q)
-    _check_raster(geom.m, geom.n)
+    TooLarge.raster(geom.m, geom.n)
     out = np.zeros((geom.m, geom.n), dtype=bool)
     idx1 = L1.occupied()
     idx2 = L2.occupied()
@@ -545,30 +526,21 @@ def _rect_dist(rect, px, py):
     return np.hypot(dx, dy)
 
 
-def _min_dist_to_rects(points: np.ndarray, rects: np.ndarray, chunk: int = 1 << 18) -> np.ndarray:
+# _min_dist_to_rects measures at most this many (point, rectangle) pairs at
+# once, 2 MiB a temporary
+_RECT_PAIRS = 1 << 18
+
+
+def _min_dist_to_rects(points: np.ndarray, rects: np.ndarray) -> np.ndarray:
     """Exact Euclidean distance from each point to a union of closed rectangles."""
     out = np.empty(len(points))
     cols = rects.T[:, None, :]
-    step = max(1, chunk // max(1, len(rects)))
+    step = max(1, _RECT_PAIRS // max(1, len(rects)))
     for s in range(0, len(points), step):
         px = points[s : s + step, 0][:, None]
         py = points[s : s + step, 1][:, None]
         out[s : s + step] = _rect_dist(cols, px, py).min(axis=1)
     return out
-
-
-# the most cells a dilation or tube raster may hold (128 MiB of distances)
-_RASTER_CELLS = 1 << 24
-
-
-def _check_raster(cols, rows) -> None:
-    """Raise ``TooLarge`` unless a ``cols`` by ``rows`` raster fits.  The
-    sizes are ints or floats; one beyond float range counts as inf, and so
-    does a product that overflows."""
-    cols, rows = (float(v) if v <= sys.float_info.max else math.inf for v in (cols, rows))
-    cells = cols * rows
-    if not (math.isfinite(cells) and cells <= _RASTER_CELLS):
-        raise TooLarge(f"a {cols:.3g} x {rows:.3g} raster exceeds {_RASTER_CELLS} cells")
 
 
 def _band_raster(cx, cy, reach, prims, xlo, xhi, yext, dist) -> np.ndarray:
@@ -618,12 +590,12 @@ def dilate(L: GridSet, eps: float, refine: int = 4) -> tuple[GridSet, GridSet]:
         raise EmptySet("cannot dilate the empty set")
     g = L.geometry
     # the refined box alone must fit, checked before refine meets a float
-    _check_raster(g.m * refine, g.n * refine)
+    TooLarge.raster(g.m * refine, g.n * refine)
     wr = g.cell_w / refine
     hr = g.cell_h / refine
     delta = 0.5 * math.hypot(wr, hr)
     reach_x, reach_y = (eps + delta) / wr, (eps + delta) / hr
-    _check_raster(g.m * refine + 2 * reach_x + 4, g.n * refine + 2 * reach_y + 4)
+    TooLarge.raster(g.m * refine + 2 * reach_x + 4, g.n * refine + 2 * reach_y + 4)
     kx = math.ceil(reach_x) + 1
     ky = math.ceil(reach_y) + 1
     mm = g.m * refine + 2 * kx
@@ -661,7 +633,7 @@ def min_cover(L: GridSet, coarse: GridGeometry) -> GridSet:
         raise CoverageError(
             f"covering box {coarse.box.as_tuple()} does not contain the set"
         )
-    _check_raster(coarse.m, coarse.n)
+    TooLarge.raster(coarse.m, coarse.n)
     xov = _overlap_matrix(coarse.xlines(), L.geometry.xlines())
     yov = _overlap_matrix(coarse.ylines(), L.geometry.ylines())
     hits = xov @ L.cells.astype(np.int64) @ yov.T
@@ -692,7 +664,7 @@ def sample_hv_convex(geometry: GridGeometry, seed, require_full_box: bool = Fals
     bottom profile its bottom, which forces full projections on both axes.
     ``seed`` may also be a ``np.random.Generator``, which is drawn from as is.
     """
-    _check_raster(geometry.m, geometry.n)
+    TooLarge.raster(geometry.m, geometry.n)
     rng = _seeded_rng(seed)
     m, n = geometry.m, geometry.n
     if require_full_box:

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySet, FormatError, InvalidParameter, NonSimpleChain
-from .grid import GridSet, _band_raster, _check_raster, _min_dist_to_rects, subset_of
+from .errors import EmptySet, FormatError, InvalidParameter, NonSimpleChain, TooLarge
+from .grid import GridSet, _band_raster, _min_dist_to_rects, subset_of
 
 __all__ = [
     "Bracket",
@@ -49,7 +49,7 @@ class Bracket:
 
 def dist_p(u: tuple[float, float], v: tuple[float, float], p: float = 2.0) -> float:
     """Minkowski ``p`` distance between two points, ``p >= 1``."""
-    if p < 1:
+    if not p >= 1:
         raise InvalidParameter(f"p must be >= 1, got {p}")
     dx = abs(u[0] - v[0])
     dy = abs(u[1] - v[1])
@@ -71,7 +71,7 @@ def _directed_bracket(K: GridSet, L: GridSet, s: int) -> Bracket:
         return Bracket(0.0, 0.0)
     g = K.geometry
     rects = K.rects()
-    _check_raster(len(rects), s * s)
+    TooLarge.raster(len(rects), s * s)
     frac = np.arange(s) / (s - 1)
     xs = rects[:, 0][:, None] + frac[None, :] * g.cell_w  # (k, s)
     ys = rects[:, 2][:, None] + frac[None, :] * g.cell_h
@@ -246,7 +246,7 @@ def tube_area(P: Polyline, eps: float, refine: int = 32) -> Bracket:
     refine = InvalidParameter.whole(refine, 1, f"refine must be a positive integer, got {refine}")
     # the tube around one vertex alone spans 2 * refine raster cells a side,
     # checked before refine meets a float
-    _check_raster(2 * refine, 2 * refine)
+    TooLarge.raster(2 * refine, 2 * refine)
     c = eps / refine
     delta = 0.5 * math.sqrt(2.0) * c
     xs, ys = np.array(P.vertices).T
@@ -256,7 +256,7 @@ def tube_area(P: Polyline, eps: float, refine: int = 32) -> Bracket:
     y0 = float(ys.min()) - margin
     cols = (float(xs.max()) + margin - x0) / c
     rows = (float(ys.max()) + margin - y0) / c
-    _check_raster(cols + 2, rows + 2)
+    TooLarge.raster(cols + 2, rows + 2)
     mm = int(math.ceil(cols)) + 1
     nn = int(math.ceil(rows)) + 1
     cx = x0 + (np.arange(mm) + 0.5) * c

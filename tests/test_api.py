@@ -4,8 +4,9 @@ frozen.
 Each module's ``__all__`` is its public API and the package re-exports
 exactly the union of those lists, so a name added to or dropped from a
 module shows here.  So does a private name newly imported from a sibling
-module, an import nothing uses, a second copy of the whole-number rule and
-an ``assert`` in the package.
+module, an import nothing uses, a second copy of the whole-number or raster
+rule, an ``assert`` in the package and a traced function the benchmark's
+tracer would no longer find.
 """
 
 import ast
@@ -48,11 +49,7 @@ PUBLIC = {
 # (importer, sibling, name) for each private name a module imports from a
 # sibling module
 PRIVATE_IMPORTS = {
-    ("checks", "grid", "_as_fraction"),
-    ("cli", "grid", "_seeded_rng"),
-    ("conic", "grid", "_check_raster"),
     ("metrics", "grid", "_band_raster"),
-    ("metrics", "grid", "_check_raster"),
     ("metrics", "grid", "_min_dist_to_rects"),
     ("reconstruct", "conic", "_FieldDiff"),
     ("reconstruct", "grid", "_family"),
@@ -100,6 +97,27 @@ def test_whole_number_rule_written_once():
     found = [mod for mod, tree in _sources().items()
              for node in ast.walk(tree) if _is_whole_number_test(node)]
     assert found == ["errors"]
+
+
+def test_raster_rule_written_once():
+    # every raster size goes through TooLarge.raster
+    found = [mod for mod, tree in _sources().items() for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "float_info"
+             and isinstance(node.value, ast.Name) and node.value.id == "sys"]
+    assert found == ["errors"]
+
+
+def test_benchmark_traced_functions_exist():
+    # bench/spans.py names each traced function "<module>.<function>" after
+    # its defining module; read its TRACED tuple without importing bench
+    spans = pathlib.Path(__file__).parents[1] / "bench" / "spans.py"
+    tree = ast.parse(spans.read_text(encoding="utf-8"))
+    traced = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and [getattr(t, "id", None) for t in node.targets] == ["TRACED"])
+    defined = {f"{mod}.{node.name}" for mod, tree in _sources().items()
+               for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert traced and [name for name in traced if name not in defined] == []
 
 
 def test_package_has_no_assert():

@@ -58,6 +58,8 @@ def test_profile_mass_and_value_at():
     assert p.value_at(1.0) == 2.0  # max of the two adjacent plateaus
     assert p.value_at(0.0) == 2.0 and p.value_at(3.0) == 0.5
     assert p.value_at(-0.1) == 0.0 and p.value_at(3.1) == 0.0
+    with pytest.raises(InvalidParameter):
+        p.value_at(math.nan)
     assert p.scaled(2.0).total_mass == pytest.approx(6.0)
 
 

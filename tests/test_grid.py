@@ -298,6 +298,8 @@ def test_combine_requires_shared_geometry():
         hv.combine(hv.GridSet.full(GEO44), hv.GridSet.full(other), Fraction(1, 2))
     with pytest.raises(InvalidParameter):
         hv.combine(hv.GridSet.full(GEO44), hv.GridSet.full(GEO44), Fraction(3, 2))
+    with pytest.raises(InvalidParameter):
+        hv.combine(hv.GridSet.full(GEO44), hv.GridSet.full(GEO44), (1, 0))
 
 
 def test_combine_preserves_predicates_on_level_pairs():

@@ -25,8 +25,9 @@ def test_dist_p_frozen():
     assert hv.dist_p((0, 0), (3, 4), 1) == 7.0
     assert hv.dist_p((0, 0), (3, 4), 2) == 5.0
     assert hv.dist_p((0, 0), (3, 4), math.inf) == 4.0
-    with pytest.raises(InvalidParameter):
-        hv.dist_p((0, 0), (1, 1), 0.5)
+    for p in (0.5, math.nan):
+        with pytest.raises(InvalidParameter):
+            hv.dist_p((0, 0), (1, 1), p)
 
 
 def test_bracket_validation():
