@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .conic import conic_of, sup_norm_diff, xrays_equal_ae
+from .conic import conic_of, sup_norm_diff
 from .errors import GeometryMismatch, InvalidParameter, PreconditionViolated
 from .grid import (
     Box,
@@ -34,6 +34,7 @@ from .grid import (
     is_connected,
     is_hv_convex,
     min_cover,
+    xrays_equal_ae,
 )
 from .metrics import Polyline, format_polyline, hausdorff, tube_area
 

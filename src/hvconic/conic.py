@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import FormatError, GeometryMismatch, InvalidParameter, TooLarge, ZeroMass
+from .errors import FormatError, InvalidParameter, TooLarge, ZeroMass
 from .grid import Box, GridSet
 from .metrics import Bracket
 
@@ -35,7 +35,6 @@ __all__ = [
     "xray_from_conic",
     "sup_norm_diff",
     "l1_norm_diff",
-    "xrays_equal_ae",
     "conic_value_exact",
     "profile_to_csv",
     "parse_profile_csv",
@@ -589,44 +588,6 @@ def l1_norm_diff(E1: ConicEvaluator, E2: ConicEvaluator, box: Box, refine: int =
     one = np.zeros(1, dtype=np.intp)
     lower, upper = diff.l1(E1.yprofile, E1.xprofile, refine, one, one)
     return Bracket(float(lower[0]), float(upper[0]))
-
-
-# ---------------------------------------------------------------------------
-# exact X-ray comparison
-
-
-def _steps_equal(c1: np.ndarray, n1: int, c2: np.ndarray, n2: int) -> bool:
-    # two piecewise-constant column-count functions on a shared span,
-    # compared exactly: counts scaled by the opposite denominator must
-    # agree on every positively overlapping index pair
-    m1, m2 = len(c1), len(c2)
-    i1 = i2 = 0
-    while i1 < m1 and i2 < m2:
-        if int(c1[i1]) * n2 != int(c2[i2]) * n1:
-            return False
-        # advance the interval that ends first; ends at (i+1)/m in box units
-        e1 = (i1 + 1) * m2
-        e2 = (i2 + 1) * m1
-        if e1 <= e2:
-            i1 += 1
-        if e2 <= e1:
-            i2 += 1
-    return True
-
-
-def xrays_equal_ae(L1: GridSet, L2: GridSet) -> bool:
-    """Exact almost-everywhere equality of both X-ray pairs.
-
-    Decided in integer cell-count arithmetic; the two sets must share the
-    reference box (dims may differ, the counts are compared across the
-    common refinement without building it).
-    """
-    if L1.geometry.box != L2.geometry.box:
-        raise GeometryMismatch("X-ray comparison needs a shared reference box")
-    g1, g2 = L1.geometry, L2.geometry
-    return _steps_equal(L1.col_counts(), g1.n, L2.col_counts(), g2.n) and _steps_equal(
-        L1.row_counts(), g1.m, L2.row_counts(), g2.m
-    )
 
 
 # ---------------------------------------------------------------------------

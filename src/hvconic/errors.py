@@ -47,16 +47,17 @@ class InvalidParameter(ConicError, ValueError):
 
     @classmethod
     def weight(cls, t) -> Fraction:
-        """The combination weight ``t`` (a ``Fraction``, a ``(p, q)`` pair
-        or anything ``Fraction`` parses) as a ``Fraction`` in ``[0, 1]``."""
+        """The combination weight ``t`` (a ``Fraction``, a whole ``(p, q)``
+        pair or anything ``Fraction`` parses) as a ``Fraction`` in ``[0, 1]``."""
         try:
             if isinstance(t, Fraction):
                 f = t
             elif isinstance(t, tuple) and len(t) == 2:
-                f = Fraction(int(t[0]), int(t[1]))
+                f = Fraction(cls.whole(t[0], 0, "expected a whole p >= 0"),
+                             cls.whole(t[1], 1, "expected a whole q >= 1"))
             else:
                 f = Fraction(t)
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
             raise cls(f"bad combination weight {t!r}: {exc}") from None
         if not 0 <= f <= 1:
             raise cls(f"combination weight {t} outside [0, 1]")

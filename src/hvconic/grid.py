@@ -46,6 +46,7 @@ __all__ = [
     "combine",
     "dilate",
     "min_cover",
+    "xrays_equal_ae",
     "sample_hv_convex",
     "count_hv_connected",
     "enumerate_hv_connected",
@@ -370,23 +371,61 @@ def subset_of(inner: GridSet, outer: GridSet) -> bool:
         return False
     if inner.geometry == outer.geometry:
         return not (inner.cells & ~outer.cells).any()
-    if not outer.geometry.box.contains_box(inner.bounding_box()):
+    if not in_sublevel_set(inner, outer.geometry.box):
         return False
-    xov = _overlap_matrix(inner.geometry.xlines(), outer.geometry.xlines())
-    yov = _overlap_matrix(inner.geometry.ylines(), outer.geometry.ylines())
-    # a cell of `inner` is covered iff every outer cell overlapping it with
-    # positive area is occupied
-    holes = xov @ (~outer.cells).astype(np.int64) @ yov.T
+    # a cell of `inner` is covered iff every outer cell overlapping it is occupied
+    holes = _overlap_counts(inner.geometry, outer.geometry, ~outer.cells)
     return not (inner.cells & (holes > 0)).any()
 
 
-def _overlap_matrix(lines_a: np.ndarray, lines_b: np.ndarray) -> np.ndarray:
-    # (len_a-1, len_b-1) booleans: cells overlap with positive length
-    a_lo = lines_a[:-1, None]
-    a_hi = lines_a[1:, None]
-    b_lo = lines_b[None, :-1]
-    b_hi = lines_b[None, 1:]
-    return ((a_lo < b_hi) & (b_lo < a_hi)).astype(np.int64)
+# ---------------------------------------------------------------------------
+# which cells of two grids overlap
+
+
+def _cell_pairs(m: int, p: int) -> tuple[list, list]:
+    """Index lists ``(i, k)`` of the cells that overlap with positive
+    length when one side is cut into ``m`` cells and into ``p``: ``i * p <
+    (k + 1) * m`` and ``k * m < (i + 1) * p``.  In units of ``1 / (m * p)``
+    of the side, each such pair starts one cell of the common refinement at
+    ``max(i * p, k * m)``, so the pairs, fewer than ``m + p``, are read off
+    the merged cell starts."""
+    starts = sorted({*range(0, m * p, p), *range(0, m * p, m)})
+    return [s // p for s in starts], [s // m for s in starts]
+
+
+def _overlap_counts(ga: GridGeometry, gb: GridGeometry, cells: np.ndarray) -> np.ndarray:
+    """How many of the ``cells`` of ``gb`` overlap each cell of ``ga`` with
+    positive area, decided on indices on one box, where a line ``a + i *
+    cell_w`` can round an ulp past the line it should meet; float lines are
+    compared only across boxes."""
+    mats = []
+    for a, b, lines_a, lines_b in ((ga.m, gb.m, ga.xlines, gb.xlines),
+                                   (ga.n, gb.n, ga.ylines, gb.ylines)):
+        if ga.box == gb.box:
+            ov = np.zeros((a, b), dtype=np.int64)
+            ov[_cell_pairs(a, b)] = 1
+        else:
+            la, lb = lines_a(), lines_b()
+            ov = ((la[:-1, None] < lb[None, 1:]) & (lb[None, :-1] < la[1:, None])).astype(np.int64)
+        mats.append(ov)
+    return mats[0] @ cells.astype(np.int64) @ mats[1].T
+
+
+def xrays_equal_ae(L1: GridSet, L2: GridSet) -> bool:
+    """Exact almost-everywhere equality of both X-ray pairs.
+
+    Decided in integer cell-count arithmetic; the two sets must share the
+    reference box (dims may differ: on each pair of overlapping cells the
+    counts, scaled by the other grid's cells across, must agree).
+    """
+    g1, g2 = L1.geometry, L2.geometry
+    if g1.box != g2.box:
+        raise GeometryMismatch("X-ray comparison needs a shared reference box")
+    for counts, n1, n2 in ((GridSet.col_counts, g1.n, g2.n), (GridSet.row_counts, g1.m, g2.m)):
+        c1, c2 = counts(L1).tolist(), counts(L2).tolist()
+        if any(c1[i] * n2 != c2[k] * n1 for i, k in zip(*_cell_pairs(len(c1), len(c2)))):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -634,10 +673,7 @@ def min_cover(L: GridSet, coarse: GridGeometry) -> GridSet:
             f"covering box {coarse.box.as_tuple()} does not contain the set"
         )
     TooLarge.raster(coarse.m, coarse.n)
-    xov = _overlap_matrix(coarse.xlines(), L.geometry.xlines())
-    yov = _overlap_matrix(coarse.ylines(), L.geometry.ylines())
-    hits = xov @ L.cells.astype(np.int64) @ yov.T
-    return GridSet(coarse, hits > 0)
+    return GridSet(coarse, _overlap_counts(coarse, L.geometry, L.cells) > 0)
 
 
 # ---------------------------------------------------------------------------

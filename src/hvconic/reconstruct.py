@@ -403,15 +403,14 @@ def _real(value) -> float:
 
 
 def _integer(value) -> int:
-    """``int(value)`` of a JSON number, refusing a string or a boolean, and
-    a fractional number rather than truncating it; an integral float such
-    as ``4.0`` is its int."""
+    """``int(value)`` of a whole JSON number such as ``4.0``; a string, a boolean
+    or a fraction is a ValueError for _convert to report, ranges are checked later."""
     if isinstance(value, (str, bool)):
         raise ValueError("expected an integer")
-    number = int(value)
-    if isinstance(value, float) and number != value:
-        raise ValueError("expected an integer")
-    return number
+    try:
+        return InvalidParameter.whole(value, -math.inf, "expected an integer")
+    except InvalidParameter as exc:
+        raise ValueError(str(exc)) from None
 
 
 def _int_pair(value) -> tuple[int, int]:

@@ -23,14 +23,14 @@ PUBLIC = {
     # grid
     "Box", "GridGeometry", "GridSet", "projections", "in_level_set", "in_sublevel_set",
     "is_hv_convex", "is_connected", "has_contiguous_runs", "thin_contact", "subset_of",
-    "combine", "dilate", "min_cover", "sample_hv_convex", "count_hv_connected",
-    "enumerate_hv_connected", "parse_hvset", "format_hvset",
+    "combine", "dilate", "min_cover", "xrays_equal_ae", "sample_hv_convex",
+    "count_hv_connected", "enumerate_hv_connected", "parse_hvset", "format_hvset",
     # metrics
     "Bracket", "Polyline", "dist_p", "hausdorff", "tube_area", "boundary_chains",
     "format_polyline", "parse_polyline",
     # conic
     "XRayProfile", "ConicEvaluator", "xray_v", "xray_h", "conic_of", "xray_from_conic",
-    "sup_norm_diff", "l1_norm_diff", "xrays_equal_ae", "conic_value_exact",
+    "sup_norm_diff", "l1_norm_diff", "conic_value_exact",
     "profile_to_csv", "parse_profile_csv", "field_to_csv", "field_to_pgm",
     # checks
     "CheckReport", "check_concavity", "check_area_superadditivity", "reproduce_remark2",

@@ -99,7 +99,7 @@ def test_concavity_preconditions():
             hv.check_concavity(L1, L1, "1/2", samples=samples)
     with pytest.raises(InvalidParameter):
         hv.check_concavity(L1, L1, "2/3000")  # denominator over the guard
-    for t in ((1, 0), math.nan, "abc", ("a", 2), math.inf):
+    for t in ((1, 0), math.nan, "abc", ("a", 2), math.inf, (1.5, 2), (1, 2.5)):
         for check in (hv.check_concavity, hv.check_area_superadditivity):
             with pytest.raises(InvalidParameter):
                 check(L1, L2, t)

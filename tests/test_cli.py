@@ -1,5 +1,6 @@
 """Command line front end, exercised in-process through ``run``."""
 
+import importlib
 import inspect
 import json
 import pathlib
@@ -149,6 +150,14 @@ def test_dist_equal_sets(tmp_path, capsys):
     invoke(capsys, "gen", "--dims", "4x4", "--box", "0,4,0,4", "--out", str(src))
     code, out, _ = invoke(capsys, "dist", str(src), str(src))
     assert code == 0 and out.strip() == "0.0 0.0"
+    # full 7x7 and 1x1 sets on a box whose 7x7 lines round past 0.9
+    paths = []
+    for d in (7, 1):
+        paths.append(tmp_path / f"full{d}.hvset")
+        full = hv.GridSet.full(hv.GridGeometry(hv.Box(0, 0.9, 0, 0.9), d, d))
+        paths[-1].write_text(hv.format_hvset(full), encoding="utf-8")
+    code, out, _ = invoke(capsys, "dist", *map(str, paths))
+    assert code == 0 and out == "0.0 0.0\n"
 
 
 def test_dist_known_pair(tmp_path, capsys):
@@ -221,6 +230,21 @@ def test_left_out_option_takes_the_library_default(tmp_path, capsys, monkeypatch
     left_out = invoke(capsys, *argv)
     assert left_out[0] == 0 and left_out[1]
     assert invoke(capsys, *argv, f"--{name}", value) == left_out
+
+
+def test_verify_convergence_block_covers_on_inexact_lines(capsys):
+    # on 0,0.9 the 4x4 cover of a 12x12 set is its 3x3 block cover, though
+    # the fine lines round an ulp past the coarse ones they meet
+    box = hv.Box(0, 0.9, 0, 0.9)
+    geo, coarse = hv.GridGeometry(box, 12, 12), hv.GridGeometry(box, 4, 4)
+    code, out, _ = invoke(capsys, "verify", "convergence", "--box", "0,0.9,0,0.9",
+                          "--dims", "12x12", "--resolutions", "4x4,12x12", "--seeds", "4")
+    assert code == 0
+    for k, line in enumerate(out.splitlines()):
+        L = hv.sample_hv_convex(geo, [0, k])
+        block = hv.GridSet(coarse, L.cells.reshape(4, 3, 4, 3).any(axis=(1, 3)))
+        upper = json.loads(line)["witness"]["hausdorff_upper"][0]
+        assert upper == hv.hausdorff(block, L).upper, k
 
 
 def test_verify_writes_jsonl(tmp_path, capsys):
@@ -641,6 +665,19 @@ def test_console_entry_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "3"
+
+
+def test_console_script_runs(capsys, monkeypatch):
+    # the `hvconic` command that pyproject.toml installs, as installers call it
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = pathlib.Path(__file__).parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]["hvconic"]
+    module, _, name = target.partition(":")
+    main = getattr(importlib.import_module(module), name)
+    monkeypatch.setattr(sys, "argv", ["hvconic", "enum", "--dims", "2x2"])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 0 and capsys.readouterr().out == "15\n"
 
 
 def test_one_shot_commands_do_not_import_numpy_ma(tmp_path):

@@ -68,6 +68,32 @@ def ref_connected(occ: set) -> bool:
     return seen == occ
 
 
+def ref_overlaps(m: int, p: int) -> np.ndarray:
+    """``[i, k]``: cell ``i`` of a side cut into ``m`` and cell ``k`` of it
+    cut into ``p`` overlap with positive length, on ``Fraction`` cell ends."""
+    return np.array([[Fraction(i, m) < Fraction(k + 1, p) and Fraction(k, p) < Fraction(i + 1, m)
+                      for k in range(p)] for i in range(m)])
+
+
+def ref_steps_equal(c1, n1: int, c2, n2: int) -> bool:
+    """Two piecewise-constant count functions on one side, walked along
+    their merged cell ends: counts scaled by the other grid's cells across
+    agree on every positively overlapping index pair."""
+    m1, m2 = len(c1), len(c2)
+    i1 = i2 = 0
+    while i1 < m1 and i2 < m2:
+        if int(c1[i1]) * n2 != int(c2[i2]) * n1:
+            return False
+        # advance the cell that ends first; ends at (i+1)/m in side units
+        e1 = (i1 + 1) * m2
+        e2 = (i2 + 1) * m1
+        if e1 <= e2:
+            i1 += 1
+        if e2 <= e1:
+            i2 += 1
+    return True
+
+
 def all_subsets_2x2():
     geo = hv.GridGeometry(hv.Box(0, 2, 0, 2), 2, 2)
     cells = [(0, 0), (0, 1), (1, 0), (1, 1)]
@@ -265,6 +291,10 @@ def test_subset_of_cross_geometry():
     assert hv.subset_of(L, refined) and hv.subset_of(refined, L)
     bigger = hv.GridSet.from_cells(GEO44, [(1, 1), (2, 1), (2, 2)])
     assert hv.subset_of(L, bigger) and not hv.subset_of(bigger, L)
+    # one point set, although 0 + 7 * (0.9 / 7) rounds past 0.9
+    box = hv.Box(0, 0.9, 0, 0.9)
+    F7, F1 = (hv.GridSet.full(hv.GridGeometry(box, d, d)) for d in (7, 1))
+    assert hv.subset_of(F7, F1) and hv.subset_of(F1, F7)
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +328,9 @@ def test_combine_requires_shared_geometry():
         hv.combine(hv.GridSet.full(GEO44), hv.GridSet.full(other), Fraction(1, 2))
     with pytest.raises(InvalidParameter):
         hv.combine(hv.GridSet.full(GEO44), hv.GridSet.full(GEO44), Fraction(3, 2))
-    with pytest.raises(InvalidParameter):
-        hv.combine(hv.GridSet.full(GEO44), hv.GridSet.full(GEO44), (1, 0))
+    for t in ((1, 0), (1.5, 2), (1, 2.5)):
+        with pytest.raises(InvalidParameter):
+            hv.combine(hv.GridSet.full(GEO44), hv.GridSet.full(GEO44), t)
 
 
 def test_combine_preserves_predicates_on_level_pairs():
@@ -444,6 +475,48 @@ def test_min_cover_nested_in_refinement():
         if prev is not None:
             assert hv.subset_of(cover, prev)
         prev = cover
+
+
+@pytest.mark.parametrize("side", [(0.0, 0.9), (0.0, 0.7), (0.0, 0.6), (0.1, 0.3)])
+def test_min_cover_decided_on_indices(side):
+    # on these sides a fine line a + i * cell_w rounds an ulp past the
+    # coarse line it should meet, which must not add a sliver column or row
+    box = hv.Box(*side, *side)
+    for fine, coarse in ((12, 4), (9, 3), (4, 3), (6, 4)):
+        geo = hv.GridGeometry(box, fine, fine)
+        ov = ref_overlaps(coarse, fine).astype(np.int64)
+        for seed in range(20):
+            L = hv.sample_hv_convex(geo, [seed, 0])
+            if fine % coarse == 0:
+                k = fine // coarse
+                ref = L.cells.reshape(coarse, k, coarse, k).any(axis=(1, 3))
+            else:
+                ref = ov @ L.cells.astype(np.int64) @ ov.T > 0
+            cover = hv.min_cover(L, hv.GridGeometry(box, coarse, coarse))
+            assert np.array_equal(cover.cells, ref), (fine, coarse, seed)
+
+
+def test_xrays_equal_ae_matches_the_walk():
+    box = hv.Box(0, 12, 0, 12)
+    families = [list(hv.enumerate_hv_connected(hv.GridGeometry(box, m, n)))
+                for m, n in ((3, 3), (2, 4), (4, 2))]
+    pool = [L for family in families for L in family]
+    # equal X-rays occur among sets of one family with one area
+    alike = [(A, B) for family in families for A in family for B in family
+             if A.count == B.count]
+    rng = np.random.default_rng(17)
+    pairs = [alike[k] for k in rng.integers(0, len(alike), 1500)]
+    pairs += [(pool[a], pool[b]) for a, b in rng.integers(0, len(pool), (500, 2))]
+    outcomes = set()
+    for A0, B0 in pairs:
+        A, B = (L.refined(int(r)) for L, r in zip((A0, B0), rng.integers(1, 4, 2)))
+        got = hv.grid.xrays_equal_ae(A, B)
+        g1, g2 = A.geometry, B.geometry
+        assert got == (ref_steps_equal(A.col_counts(), g1.n, B.col_counts(), g2.n)
+                       and ref_steps_equal(A.row_counts(), g1.m, B.row_counts(), g2.m))
+        outcomes.add((got, A0 == B0))
+    # equal X-rays of two different sets among them
+    assert outcomes == {(True, True), (True, False), (False, False)}
 
 
 def test_min_cover_requires_containment():

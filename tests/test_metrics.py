@@ -46,6 +46,10 @@ def test_bracket_validation():
 def test_hausdorff_equal_sets_exact_zero():
     L = hv.sample_hv_convex(GEO88, 7)
     assert hv.hausdorff(L, L) == hv.Bracket(0.0, 0.0)
+    # one point set on two grids whose lines 0 + d * (0.9 / d) differ
+    box = hv.Box(0, 0.9, 0, 0.9)
+    F7, F1 = (hv.GridSet.full(hv.GridGeometry(box, d, d)) for d in (7, 1))
+    assert hv.hausdorff(F7, F1) == hv.Bracket(0.0, 0.0)
 
 
 def test_hausdorff_unit_cell_vs_full():
