@@ -29,7 +29,8 @@ from .grid import (
     sample_hv_convex,
 )
 from .metrics import Polyline, hausdorff
-from .reconstruct import exhaustive, load_problem, local_search, write_result
+from .reconstruct import _read_text, exhaustive, load_problem, local_search, write_result
+from .reconstruct import _write_text as _write_file
 
 __all__ = ["run", "main"]
 
@@ -61,16 +62,14 @@ def _rational(text: str) -> Fraction:
 
 
 def _read_set(path: str):
-    with open(path, encoding="utf-8") as fh:
-        return parse_hvset(fh.read())
+    return parse_hvset(_read_text(path))
 
 
 def _write_text(path: str | None, text: str):
     if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_file(path, text)
 
 
 @functools.lru_cache(maxsize=1)

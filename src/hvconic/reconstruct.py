@@ -19,6 +19,8 @@ import itertools
 import json
 import math
 import operator
+import os
+import stat
 from dataclasses import dataclass
 
 import numpy as np
@@ -436,11 +438,10 @@ def load_problem(path: str) -> tuple[ReconstructionProblem, AnnealingParams, str
     numbers, ``seed``) and a fractional number in an integer field
     (``dims``, ``l1_refine``, ``steps``, ``restarts``, ``seed``).
     """
-    with open(path, encoding="utf-8") as fh:
-        try:
-            spec = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"malformed problem JSON: {exc}") from None
+    try:
+        spec = json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"malformed problem JSON: {exc}") from None
 
     box = _convert("box", _require(spec, "box"), lambda v: Box(*map(_real, v)))
     m, n = _convert("dims", _require(spec, "dims"), _int_pair)
@@ -448,18 +449,12 @@ def load_problem(path: str) -> tuple[ReconstructionProblem, AnnealingParams, str
 
     tgt = _require(spec, "target")
     if isinstance(tgt, dict) and "hvset" in tgt:
-        with open(_path(tgt, "hvset"), encoding="utf-8") as fh:
-            gen = parse_hvset(fh.read())
-        target = conic_of(gen)
+        target = conic_of(parse_hvset(_read_text(_path(tgt, "hvset"))))
     elif isinstance(tgt, dict) and "xray_csv" in tgt:
         paths = tgt["xray_csv"]
-        vpath = _path(paths, "vertical")
-        hpath = _path(paths, "horizontal")
-        with open(vpath, encoding="utf-8") as fh:
-            yprof = parse_profile_csv(fh.read(), "vertical")
-        with open(hpath, encoding="utf-8") as fh:
-            xprof = parse_profile_csv(fh.read(), "horizontal")
-        target = ConicEvaluator(yprof, xprof)
+        vpath, hpath = _path(paths, "vertical"), _path(paths, "horizontal")
+        target = ConicEvaluator(parse_profile_csv(_read_text(vpath), "vertical"),
+                                parse_profile_csv(_read_text(hpath), "horizontal"))
     else:
         raise FormatError("target must provide 'hvset' or 'xray_csv'")
 
@@ -488,8 +483,41 @@ def write_result(result: ReconstructionResult, out_prefix: str) -> tuple[str, st
     """Write ``<prefix>.hvset`` (best set) and ``<prefix>.json`` (summary)."""
     hvset_path = out_prefix + ".hvset"
     json_path = out_prefix + ".json"
-    with open(hvset_path, "w", encoding="utf-8") as fh:
-        fh.write(format_hvset(result.best))
-    with open(json_path, "w", encoding="utf-8") as fh:
-        fh.write(result._summary())
+    _write_text(hvset_path, format_hvset(result.best))
+    _write_text(json_path, result._summary())
     return hvset_path, json_path
+
+
+def _read_text(path: str) -> str:
+    """The text of a UTF-8 file; undecodable bytes raise :class:`FormatError`."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path!r} is not UTF-8 text: {exc}") from None
+
+
+def _write_text(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8: the one way the package writes a file.
+
+    An existing file is overwritten in place, then cut to the written
+    length: truncating it first costs far more on ext4, which flushes a
+    file truncated to zero when it is closed.  A write that raises leaves
+    the file empty.  Only a regular file is cut, as ``ftruncate`` fails on
+    ``/dev/null`` and on a pipe.  Nothing calls ``fsync``.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        regular = stat.S_ISREG(os.fstat(fd).st_mode)
+        try:
+            # the wrapper is closed, its buffer flushed or dropped, before any cut
+            with open(fd, "w", encoding="utf-8", closefd=False) as fh:
+                fh.write(text)
+            if regular:
+                os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+        except BaseException:
+            if regular:
+                os.ftruncate(fd, 0)
+            raise
+    finally:
+        os.close(fd)

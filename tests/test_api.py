@@ -5,8 +5,9 @@ Each module's ``__all__`` is its public API and the package re-exports
 exactly the union of those lists, so a name added to or dropped from a
 module shows here.  So does a private name newly imported from a sibling
 module, an import nothing uses, a second copy of the whole-number or raster
-rule, an ``assert`` in the package and a traced function the benchmark's
-tracer would no longer find.
+rule, a file opened for writing outside the one text writer, an ``assert``
+in the package and a traced function the benchmark's tracer would no
+longer find.
 """
 
 import ast
@@ -49,6 +50,8 @@ PUBLIC = {
 # (importer, sibling, name) for each private name a module imports from a
 # sibling module
 PRIVATE_IMPORTS = {
+    ("cli", "reconstruct", "_read_text"),
+    ("cli", "reconstruct", "_write_text"),
     ("metrics", "grid", "_band_raster"),
     ("metrics", "grid", "_min_dist_to_rects"),
     ("reconstruct", "conic", "_FieldDiff"),
@@ -105,6 +108,32 @@ def test_raster_rule_written_once():
              if isinstance(node, ast.Attribute) and node.attr == "float_info"
              and isinstance(node.value, ast.Name) and node.value.id == "sys"]
     assert found == ["errors"]
+
+
+def _write_opens(tree) -> list:
+    """The ``open`` and ``os.open`` calls under ``tree`` that may write: a
+    mode holding ``w``, ``a``, ``x`` or ``+``, or one not spelled as a
+    string (``os.open``'s flags)."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id",
+                                                  getattr(node.func, "attr", None)) == "open":
+            mode = node.args[1] if len(node.args) > 1 else next(
+                (kw.value for kw in node.keywords if kw.arg in ("mode", "flags")), None)
+            if mode is not None and not (isinstance(mode, ast.Constant)
+                                         and set(str(mode.value)).isdisjoint("wax+")):
+                found.append(node.lineno)
+    return found
+
+
+def test_one_text_writer():
+    # every file the package writes goes through reconstruct._write_text
+    sources = _sources()
+    writer = next(node for node in sources["reconstruct"].body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_write_text")
+    found = sorted((mod, line) for mod, tree in sources.items() for line in _write_opens(tree))
+    assert _write_opens(writer)
+    assert found == sorted(("reconstruct", line) for line in _write_opens(writer))
 
 
 def test_benchmark_traced_functions_exist():

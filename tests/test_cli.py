@@ -3,6 +3,7 @@
 import importlib
 import inspect
 import json
+import os
 import pathlib
 import re
 import shlex
@@ -13,6 +14,7 @@ import pytest
 
 import hvconic as hv
 from hvconic.cli import _build_parser, run
+from hvconic.reconstruct import _write_text
 
 
 def invoke(capsys, *argv):
@@ -395,7 +397,69 @@ def test_missing_file_is_io_error(capsys):
     assert err.startswith("ERROR IOError:")
 
 
+# ---------------------------------------------------------------------------
+# output files: overwritten in place, then cut to the written length
+
+
+@pytest.mark.parametrize("old", [b"", b"HV", b"x" * 5000], ids=["empty", "short", "long"])
+def test_gen_out_rewrites_file_exactly(tmp_path, capsys, old):
+    argv = ["gen", "--dims", "8x8", "--box", "0,8,0,8", "--seed", "7"]
+    _, text, _ = invoke(capsys, *argv)
+    path = tmp_path / "L.hvset"
+    path.write_bytes(old)
+    assert invoke(capsys, *argv, "--out", str(path)) == (0, "", "")
+    assert path.read_bytes() == text.encode("utf-8")
+
+
+def test_gen_out_dev_null(capsys):
+    # a device is written as it is: ftruncate fails on /dev/null
+    assert invoke(capsys, "gen", "--dims", "4x4", "--box", "0,4,0,4", "--out", os.devnull) == (
+        0, "", "")
+
+
+def test_write_text_to_pipe():
+    # ftruncate fails on a pipe as well
+    if not os.path.isdir("/dev/fd"):
+        pytest.skip("no /dev/fd")
+    r, w = os.pipe()
+    try:
+        _write_text(f"/dev/fd/{w}", "HVSET\n")
+        assert os.read(r, 100) == b"HVSET\n"
+    finally:
+        os.close(r)
+        os.close(w)
+
+
+def test_gen_out_directory_is_io_error(tmp_path, capsys):
+    code, out, err = invoke(capsys, "gen", "--dims", "4x4", "--box", "0,4,0,4",
+                            "--out", str(tmp_path))
+    assert (code, out) == (1, "")
+    assert err.startswith("ERROR IOError:") and err.count("\n") == 1
+
+
+def test_failed_write_leaves_file_empty(tmp_path):
+    path = tmp_path / "old.txt"
+    path.write_text("old bytes\n", encoding="utf-8")
+    with pytest.raises(UnicodeEncodeError):
+        _write_text(str(path), "\ud800")
+    assert path.read_bytes() == b""
+
+
+def test_new_file_mode_follows_umask(tmp_path):
+    umask = os.umask(0o027)
+    try:
+        _write_text(str(tmp_path / "new.txt"), "text\n")
+        with open(tmp_path / "reference.txt", "w", encoding="utf-8") as fh:
+            fh.write("text\n")
+    finally:
+        os.umask(umask)
+    modes = {(tmp_path / name).stat().st_mode & 0o777 for name in ("new.txt", "reference.txt")}
+    assert modes == {0o640}
+
+
 EMPTY_HVSET = "HVSET v1\nbox 0.0 2.0 0.0 2.0\ndims 2 2\n00\n00\n"
+# UTF-16 text opens with the bytes ff fe, which are not UTF-8
+FULL_HVSET_UTF16 = "HVSET v1\nbox 0.0 2.0 0.0 2.0\ndims 2 2\n11\n11\n".encode("utf-16")
 
 # id -> (argv, error class); the files are written by the test
 # an integer beyond float range
@@ -469,6 +533,13 @@ ERROR_ROWS = {
     "huge-reconstruct": (["reconstruct", "huge.json"], "TooLarge"),
     # a chain draws every proposal up front, so its steps are capped
     "huge-steps": (["reconstruct", "huge-steps.json"], "TooLarge"),
+    # every text input is read as UTF-8
+    "utf16-dist": (["dist", "good.hvset", "utf16.hvset"], "FormatError"),
+    "utf16-xray": (["xray", "utf16.hvset"], "FormatError"),
+    "utf16-conic": (["conic", "utf16.hvset", "--samples", "3x3"], "FormatError"),
+    "utf16-problem": (["reconstruct", "utf16.json"], "FormatError"),
+    "utf16-target": (["reconstruct", "utf16-target.json"], "FormatError"),
+    "utf16-target-csv": (["reconstruct", "utf16-csv.json"], "FormatError"),
 }
 
 
@@ -481,6 +552,18 @@ def test_domain_error_reports_class(tmp_path, capsys, monkeypatch, argv, cls):
     (tmp_path / "empty.hvset").write_text(EMPTY_HVSET, encoding="utf-8")
     (tmp_path / "corner.hvset").write_text(
         hv.format_hvset(hv.GridSet.from_cells(geo, [(0, 0)])), encoding="utf-8")
+    (tmp_path / "utf16.hvset").write_bytes(FULL_HVSET_UTF16)
+    (tmp_path / "utf16.json").write_bytes(
+        json.dumps({"target": {"hvset": "good.hvset"}}).encode("utf-16"))
+    (tmp_path / "good.csv").write_text(hv.profile_to_csv(hv.xray_h(hv.GridSet.full(geo))),
+                                       encoding="utf-8")
+    (tmp_path / "utf16.csv").write_bytes(hv.profile_to_csv(hv.xray_v(hv.GridSet.full(geo)))
+                                         .encode("utf-16"))
+    for name, target in (("utf16-target", {"hvset": "utf16.hvset"}),
+                         ("utf16-csv", {"xray_csv": {"vertical": "utf16.csv",
+                                                     "horizontal": "good.csv"}})):
+        (tmp_path / f"{name}.json").write_text(
+            json.dumps({"target": target, "box": [0, 2, 0, 2], "dims": [2, 2]}), encoding="utf-8")
     for name, target, dims, budget in (
         ("empty", "empty.hvset", [2, 2], {}),
         ("big", "good.hvset", [5, 4], {}),
@@ -661,6 +744,7 @@ def test_console_entry_subprocess():
         [sys.executable, "-m", "hvconic.cli", "enum", "--dims", "1x2"],
         capture_output=True,
         text=True,
+        encoding="utf-8",
         timeout=120,
     )
     assert proc.returncode == 0
@@ -697,5 +781,5 @@ def test_one_shot_commands_do_not_import_numpy_ma(tmp_path):
                  ["verify", "stability", "--seeds", "1"],
                  ["verify", "convergence", "--seeds", "1"]):
         proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
-                              text=True, timeout=120)
+                              text=True, encoding="utf-8", timeout=120)
         assert (proc.stdout, proc.stderr) == ("0 False\n", ""), argv
