@@ -231,11 +231,7 @@ class ConicEvaluator:
         raise AttributeError("ConicEvaluator is immutable")
 
     def evaluate(self, x: float, y: float) -> float:
-        xs = np.asarray([x], dtype=float)
-        ys = np.asarray([y], dtype=float)
-        u = _value(_coeffs(self.yprofile, xs), xs)
-        v = _value(_coeffs(self.xprofile, ys), ys)
-        return float(u[0] + v[0])
+        return float(self.evaluate_grid([x], [y])[0, 0])
 
     def evaluate_grid(self, xs, ys) -> np.ndarray:
         """Field values on a product lattice, shape ``(len(xs), len(ys))``."""
@@ -323,6 +319,8 @@ class _FieldDiff:
     terms are kept per ``(axis, refine)`` on first use.
     """
 
+    # a reference term that overflows here reaches the norms, which refuse it
+    @np.errstate(over="ignore", invalid="ignore")
     def __init__(self, xlines: np.ndarray, ylines: np.ndarray, ref: ConicEvaluator, box: Box):
         self.axes = []
         for lines, rprof, lo, hi in ((xlines, ref.yprofile, box.a, box.b),
@@ -365,14 +363,19 @@ class _FieldDiff:
                 best_min = _pymin(best_min, np.where(ok, vv, np.inf).min(axis=-1))
         return best_min, best_max
 
+    @np.errstate(over="ignore", invalid="ignore")
     def sup(self, xp, yp, cinv, rinv):
         """``sup_norm_diff`` of the fields whose profiles are rows
         ``cinv[k]`` of ``xp`` and ``rinv[k]`` of ``yp`` (for a single
         profile both indices are ``()``): the larger of (max + max) and -(min + min) of the two
-        separated terms, ties kept as the builtin ``max`` keeps them."""
+        separated terms, ties kept as the builtin ``max`` keeps them.  A
+        norm that overflows raises :class:`InvalidParameter`."""
         umin, umax = self.extrema(0, xp)
         vmin, vmax = self.extrema(1, yp)
-        return _pymax(umax[cinv] + vmax[rinv], -(umin[cinv] + vmin[rinv]))
+        out = _pymax(umax[cinv] + vmax[rinv], -(umin[cinv] + vmin[rinv]))
+        if not np.isfinite(out).all():
+            raise InvalidParameter("the sup norm overflows on this box")
+        return out
 
     def _l1_reference(self, axk: int, refine: int):
         """The reference's share of :meth:`l1_terms`, built once per
@@ -406,12 +409,14 @@ class _FieldDiff:
         gap_mids = np.abs(_slope((A[..., e:], B[..., e:], None), ts[e:]) - ref_mids)
         return w, diff, _pymax(gap_pts.max(axis=-1), gap_mids.max(axis=-1))
 
+    @np.errstate(over="ignore", invalid="ignore")
     def l1(self, xp, yp, refine: int, cinv, rinv):
         """``l1_norm_diff`` brackets ``(lower, upper)`` of the fields whose
         profiles are rows ``cinv[k]`` of ``xp`` and ``rinv[k]`` of ``yp``
         (a single profile is one row): composite midpoint quadrature plus
         a Lipschitz error bound from the exact slope ranges of the two
-        separated terms."""
+        separated terms.  A norm that overflows raises
+        :class:`InvalidParameter`."""
         wx, du, lip_x = self.l1_terms(0, xp, refine)
         wy, dv, lip_y = self.l1_terms(1, yp, refine)
         du, lip_x = du.reshape(-1, len(wx)), np.reshape(lip_x, -1)
@@ -430,6 +435,8 @@ class _FieldDiff:
         err = 0.25 * (ex[cinv] + ey[rinv])
         lower = _pymax(0.0, total - err)
         upper = total + err
+        if not np.isfinite(upper).all():
+            raise InvalidParameter("the l1 norm overflows on this box")
         bad = np.flatnonzero(~(lower <= upper))
         if bad.size:
             raise InvalidParameter(f"bad bracket [{lower[bad[0]]}, {upper[bad[0]]}]")

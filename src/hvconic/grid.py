@@ -267,19 +267,10 @@ class GridSet:
 
 
 def _merge_runs(flags: np.ndarray, lines: np.ndarray) -> list[tuple[float, float]]:
-    # maximal runs of True in flags -> closed coordinate intervals
-    out = []
-    i = 0
-    k = len(flags)
-    while i < k:
-        if flags[i]:
-            j = i
-            while j + 1 < k and flags[j + 1]:
-                j += 1
-            out.append((float(lines[i]), float(lines[j + 1])))
-            i = j + 1
-        i += 1
-    return out
+    # maximal runs of True in flags -> closed coordinate intervals: the
+    # flags change at each run's first index and just past its last
+    edges = np.flatnonzero(np.diff(flags, prepend=False, append=False))
+    return [(float(lines[i]), float(lines[j])) for i, j in zip(edges[::2], edges[1::2])]
 
 
 def projections(L: GridSet) -> tuple[list[tuple[float, float]], list[tuple[float, float]]]:
@@ -518,6 +509,30 @@ def _line_mask(lines: list, k: int, size: int, full_box: bool) -> int:
         if (not prev or _touch(short, prev)) and (not nxt or _touch(short, nxt)):
             mask |= end
     return mask
+
+
+class _Lines:
+    """A feasible set's cells as bits per column (``cols``) and per row
+    (``rows``), with each line's ``_line_mask`` (``cmask``, ``rmask``)
+    kept fresh by :meth:`toggle`."""
+
+    def __init__(self, cells: np.ndarray, full_box: bool):
+        m, n = cells.shape
+        self.cols, self.rows, self.full_box = _line_bits(cells), _line_bits(cells.T), full_box
+        self.cmask = [_line_mask(self.cols, i, n, full_box) for i in range(m)]
+        self.rmask = [_line_mask(self.rows, j, m, full_box) for j in range(n)]
+        # the lines whose masks a toggle in line k changes: k and its neighbours
+        self.near_c = [range(max(i - 1, 0), min(i + 2, m)) for i in range(m)]
+        self.near_r = [range(max(j - 1, 0), min(j + 2, n)) for j in range(n)]
+
+    def toggle(self, i: int, j: int) -> None:
+        cols, rows = self.cols, self.rows
+        cols[i] ^= 1 << j
+        rows[j] ^= 1 << i
+        for c in self.near_c[i]:
+            self.cmask[c] = _line_mask(cols, c, len(rows), self.full_box)
+        for r in self.near_r[j]:
+            self.rmask[r] = _line_mask(rows, r, len(cols), self.full_box)
 
 
 # ---------------------------------------------------------------------------

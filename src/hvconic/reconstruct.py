@@ -31,9 +31,8 @@ from .grid import (
     Box,
     GridGeometry,
     GridSet,
+    _Lines,
     _family,
-    _line_bits,
-    _line_mask,
     format_hvset,
     in_level_set,
     is_connected,
@@ -257,10 +256,6 @@ def exhaustive(problem: ReconstructionProblem) -> ReconstructionResult:
     return _finish(GridSet(g, family[records[-1]]), problem, trace, len(family), optima)
 
 
-def _bits_to_cells(cols: list, n: int) -> np.ndarray:
-    return np.array([[(c >> j) & 1 for j in range(n)] for c in cols], dtype=bool)
-
-
 # math.exp is within an ulp of exp, so a coin at or above exp(x) times this
 # factor is also at or above the computed exp(y) of any y <= x
 _EXP_SLACK = 1.0 + 2.0**-40
@@ -271,11 +266,10 @@ def local_search(problem: ReconstructionProblem, params: AnnealingParams) -> Rec
 
     Proposals toggling a uniformly random cell are rejected outright when
     the toggled set leaves the feasible family: each column and each row
-    keeps the mask of positions whose toggle it allows (``_line_mask``),
-    and a proposal is feasible when both its bits are set.  A chain builds
-    every mask at its start; an accepted toggle of ``(i, j)`` changes column
-    ``i`` and row ``j``, so it rebuilds the masks of columns ``i-1..i+1``
-    and rows ``j-1..j+1``, and every mask a proposal reads is fresh.
+    keeps the mask of positions whose toggle it allows, and a proposal is
+    feasible when both its bits are set.  Each chain keeps its set's line
+    bits and masks in one ``grid._Lines``, toggled on accept only, which
+    keeps every mask a proposal reads fresh.
     Otherwise improving moves are always taken and worsening ones with the
     Metropolis probability at the geometrically cooled temperature.  For
     the sup norm a proposal whose corner bound (the sup scorer's
@@ -293,10 +287,6 @@ def local_search(problem: ReconstructionProblem, params: AnnealingParams) -> Rec
     score = _search_score(problem)
     bound = score.corner_bound if problem.norm == NORM_SUP else lambda *moments: -math.inf
 
-    # the lines whose masks a toggle in line k changes: k and its neighbours
-    near_c = [range(max(i - 1, 0), min(i + 2, m)) for i in range(m)]
-    near_r = [range(max(j - 1, 0), min(j + 2, n)) for j in range(n)]
-
     best_cols = None
     best_val = math.inf
     trace = []
@@ -304,10 +294,11 @@ def local_search(problem: ReconstructionProblem, params: AnnealingParams) -> Rec
     chains = params.restarts + 1
     for chain in range(chains):
         rng = np.random.default_rng([params.seed, chain])
-        start = sample_hv_convex(g, rng, full_box)
-        cols, rows = _line_bits(start.cells), _line_bits(start.cells.T)
+        lines = _Lines(sample_hv_convex(g, rng, full_box).cells, full_box)
+        # read, not copied: the step loop reads these lists, toggle updates them
+        cols, cmask, rmask = lines.cols, lines.cmask, lines.rmask
         ccounts = [c.bit_count() for c in cols]
-        rcounts = [r.bit_count() for r in rows]
+        rcounts = [r.bit_count() for r in lines.rows]
         cells = sum(ccounts)
         s_c = sum(c * (2 * i + 1) for i, c in enumerate(ccounts))
         s_r = sum(r * (2 * j + 1) for j, r in enumerate(rcounts))
@@ -325,8 +316,6 @@ def local_search(problem: ReconstructionProblem, params: AnnealingParams) -> Rec
         # whose floats differ
         temps = itertools.accumulate(itertools.repeat(params.cooling, params.steps), operator.mul,
                                      initial=params.initial_temperature)
-        cmask = [_line_mask(cols, i, n, full_box) for i in range(m)]
-        rmask = [_line_mask(rows, j, m, full_box) for j in range(n)]
         for i, j, coin, T in zip(t_i, t_j, coins, temps):
             total_steps += 1
             if not (cmask[i] >> j & 1 and rmask[j] >> i & 1):
@@ -343,12 +332,7 @@ def local_search(problem: ReconstructionProblem, params: AnnealingParams) -> Rec
                 ccounts[i] -= delta
                 rcounts[j] -= delta
                 continue
-            cols[i] ^= 1 << j
-            rows[j] ^= 1 << i
-            for c in near_c[i]:
-                cmask[c] = _line_mask(cols, c, n, full_box)
-            for r in near_r[j]:
-                rmask[r] = _line_mask(rows, r, m, full_box)
+            lines.toggle(i, j)
             cells += delta
             s_c += di
             s_r += dj
@@ -364,7 +348,8 @@ def local_search(problem: ReconstructionProblem, params: AnnealingParams) -> Rec
 
     if best_cols is None:
         raise InvalidParameter("no sampled candidate has a finite objective")
-    return _finish(GridSet(g, _bits_to_cells(best_cols, n)), problem, trace, total_steps)
+    best = [(i, j) for i, c in enumerate(best_cols) for j in range(n) if c >> j & 1]
+    return _finish(GridSet.from_cells(g, best), problem, trace, total_steps)
 
 
 # ---------------------------------------------------------------------------

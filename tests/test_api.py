@@ -55,9 +55,8 @@ PRIVATE_IMPORTS = {
     ("metrics", "grid", "_band_raster"),
     ("metrics", "grid", "_min_dist_to_rects"),
     ("reconstruct", "conic", "_FieldDiff"),
+    ("reconstruct", "grid", "_Lines"),
     ("reconstruct", "grid", "_family"),
-    ("reconstruct", "grid", "_line_bits"),
-    ("reconstruct", "grid", "_line_mask"),
 }
 
 

@@ -540,6 +540,9 @@ ERROR_ROWS = {
     "utf16-problem": (["reconstruct", "utf16.json"], "FormatError"),
     "utf16-target": (["reconstruct", "utf16-target.json"], "FormatError"),
     "utf16-target-csv": (["reconstruct", "utf16-csv.json"], "FormatError"),
+    # the l1 integral over a box of side 1e70 overflows, for both engines
+    "overflow-l1": (["reconstruct", "far-l1.json"], "InvalidParameter"),
+    "overflow-l1-oracle": (["reconstruct", "far-l1.json", "--oracle"], "InvalidParameter"),
 }
 
 
@@ -577,6 +580,12 @@ def test_domain_error_reports_class(tmp_path, capsys, monkeypatch, argv, cls):
                         "budget": budget, "out_prefix": name}),
             encoding="utf-8",
         )
+    far = hv.GridGeometry(hv.Box(0, 1e70, 0, 1e70), 3, 3)
+    (tmp_path / "far.hvset").write_text(hv.format_hvset(hv.sample_hv_convex(far, 5)),
+                                        encoding="utf-8")
+    (tmp_path / "far-l1.json").write_text(
+        json.dumps({"target": {"hvset": "far.hvset"}, "box": [0, 1e70, 0, 1e70], "dims": [3, 3],
+                    "norm": "l1", "out_prefix": "far"}), encoding="utf-8")
     for name, fields in NOT_A_NUMBER.items():
         spec = {"target": {"hvset": "good.hvset"}, "box": [0, 2, 0, 2], "dims": [2, 2],
                 "out_prefix": name}
@@ -609,6 +618,16 @@ def test_usage_errors_exit_two(capsys):
                                 "--resolutions", ladder)
         assert code == 2 and out == ""
         assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["gen", "--dims", "3x3", "--box", "1,0,0,1"],
+                                  ["verify", "concavity", "--t", "1/0"]])
+def test_bad_option_value_is_one_usage_error(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"usage: hvconic {argv[0]}")
+    assert [line for line in err.splitlines() if ": error: " in line] == [
+        err.splitlines()[-1]]
 
 
 @pytest.mark.parametrize(

@@ -68,6 +68,18 @@ def test_profile_equality():
     q = hv.XRayProfile(VERTICAL, [0.0, 1.0, 2.0], [1.0, 2.0])
     assert p == q and hash(p) == hash(q)
     assert p != hv.XRayProfile(HORIZONTAL, [0, 1, 2], [1.0, 2.0])
+    with pytest.raises(InvalidParameter):
+        p.scaled(-1)
+
+
+def test_profile_and_field_are_immutable_and_hashable():
+    A = hv.conic_of(hv.sample_hv_convex(GEO88, 3))
+    same = hv.conic_of(hv.sample_hv_convex(GEO88, 3))
+    assert A == same and hash(A) == hash(same)
+    assert A != hv.conic_of(hv.sample_hv_convex(GEO88, 4)) and A != A.yprofile
+    for obj, name in ((A, "mass"), (A, "xprofile"), (A.yprofile, "values"), (A.yprofile, "axis")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)
 
 
 def test_xray_of_grid_set():
@@ -228,6 +240,25 @@ def test_l1_norm_brackets_overlap_and_narrow():
         assert cur.lower <= prev.upper and prev.lower <= cur.upper
     with pytest.raises(InvalidParameter):
         hv.l1_norm_diff(A, B, GEO88.box, refine=0)
+
+
+def test_norms_refuse_overflow():
+    # the l1 integral grows as side^5 and overflows from a side of about
+    # 5.2e61; the sup norm of these 4x4 pairs overflows in its quadratics,
+    # although every profile's mass and moment is finite
+    for side, finite in ((1e60, True), (1e70, False)):
+        geo = hv.GridGeometry(hv.Box(0, side, 0, side), 3, 3)
+        A, B = (hv.conic_of(hv.sample_hv_convex(geo, s)) for s in (1, 2))
+        if finite:
+            assert math.isfinite(hv.l1_norm_diff(A, B, geo.box).upper)
+        else:
+            with pytest.raises(InvalidParameter, match="overflows"):
+                hv.l1_norm_diff(A, B, geo.box)
+    geo = hv.GridGeometry(hv.Box(-8e102, 8e102, 0, 8e102), 4, 4)
+    A, B, C = (hv.conic_of(hv.sample_hv_convex(geo, s)) for s in (2, 3, 4))
+    assert hv.sup_norm_diff(A, B, geo.box) == 1.52e308
+    with pytest.raises(InvalidParameter, match="overflows"):
+        hv.sup_norm_diff(A, C, geo.box)
 
 
 @settings(max_examples=25, deadline=None)

@@ -180,6 +180,14 @@ def test_counts_area_rects():
     assert L.bounding_box() == hv.Box(0.0, 2.0, 0.0, 2.0)
 
 
+def test_grid_set_rejects_bad_masks_and_cells():
+    with pytest.raises(InvalidParameter, match="does not match"):
+        hv.GridSet(GEO44, np.zeros((4, 3), dtype=bool))
+    for cell in ((4, 0), (0, 4), (-1, 0)):
+        with pytest.raises(InvalidParameter, match="outside grid"):
+            hv.GridSet.from_cells(GEO44, [(0, 0), cell])
+
+
 def test_empty_set_guards():
     L = hv.GridSet(GEO44, np.zeros((4, 4), dtype=bool))
     assert L.is_empty
@@ -282,6 +290,14 @@ def test_thin_contact_detection():
     solid = hv.GridSet.from_cells(geo, [(0, 0), (1, 0)])
     assert hv.thin_contact(diag) and hv.thin_contact(anti)
     assert not hv.thin_contact(solid) and not hv.thin_contact(hv.GridSet.full(geo))
+
+
+def test_subset_of_empty_sets():
+    L = hv.GridSet.from_cells(GEO44, [(1, 1)])
+    for geo in (GEO44, GEO88):
+        empty = hv.GridSet(geo, np.zeros((geo.m, geo.n), dtype=bool))
+        assert hv.subset_of(empty, L) and hv.subset_of(empty, empty)
+        assert not hv.subset_of(L, empty)
 
 
 def test_subset_of_cross_geometry():

@@ -25,6 +25,7 @@ def test_dist_p_frozen():
     assert hv.dist_p((0, 0), (3, 4), 1) == 7.0
     assert hv.dist_p((0, 0), (3, 4), 2) == 5.0
     assert hv.dist_p((0, 0), (3, 4), math.inf) == 4.0
+    assert hv.dist_p((1, -1), (4, 3), 3) == pytest.approx(91 ** (1 / 3), rel=1e-15)
     for p in (0.5, math.nan):
         with pytest.raises(InvalidParameter):
             hv.dist_p((0, 0), (1, 1), p)
@@ -131,6 +132,14 @@ def test_polyline_rejects_non_simple():
         hv.Polyline([(0, 0), (2, 0), (1, 0)])
     with pytest.raises(NonSimpleChain):  # distant segments crossing
         hv.Polyline([(0, 0), (4, 0), (4, 2), (2, -1)])
+    # a vertex on a non-adjacent segment: caught by the crossing test, then by
+    # the d1, d2 and d4 collinear tests of _segments_intersect
+    for chain in ([(0, 0), (4, 0), (4, 2), (2, 2), (2, 0)],
+                  [(1, 1), (1, 2), (2, 3), (3, 1), (0, 1)],
+                  [(1, 1), (1, 0), (2, 0), (0, 0)],
+                  [(2, 3), (2, 1), (0, 1), (2, 2)]):
+        with pytest.raises(NonSimpleChain, match="intersect"):
+            hv.Polyline(chain)
 
 
 def test_polyline_immutable_hashable():

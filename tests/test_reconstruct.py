@@ -10,7 +10,7 @@ import hvconic as hv
 from hvconic import conic
 from hvconic.conic import _FieldDiff
 from hvconic.errors import FormatError, GeometryMismatch, InvalidParameter, TooLarge, ZeroMass
-from hvconic.grid import _family, _line_bits, _line_mask
+from hvconic.grid import _family, _Lines
 from hvconic.reconstruct import _check_feasible, _family_counts, _search_score
 
 GEO22 = hv.GridGeometry(hv.Box(0.0, 2.0, 0.0, 2.0), 2, 2)
@@ -372,9 +372,8 @@ def test_toggle_check_matches_public_predicates(m, n, full):
     geo = hv.GridGeometry(hv.Box(0, m, 0, n), m, n)
     verdict = {}
     for cells in _family(m, n, full):
-        cols, rows = _line_bits(cells), _line_bits(cells.T)
-        cmask = [_line_mask(cols, i, n, full) for i in range(m)]
-        rmask = [_line_mask(rows, j, m, full) for j in range(n)]
+        lines = _Lines(cells, full)
+        cmask, rmask = lines.cmask, lines.rmask
         assert all(mask >> n == 0 for mask in cmask) and all(mask >> m == 0 for mask in rmask)
         for i in range(m):
             for j in range(n):
@@ -395,31 +394,23 @@ def test_toggle_check_matches_public_predicates(m, n, full):
 # 1x9 with a full box has one feasible set, the full column, and no move
 @pytest.mark.parametrize("m,n,full", [(7, 7, False), (7, 7, True), (1, 9, False)])
 def test_kept_masks_match_fresh_masks(m, n, full):
-    # a seeded walk of feasible toggles that keeps masks as the annealer
-    # does: a toggle of (i, j) rebuilds the masks of columns i-1..i+1 and
-    # rows j-1..j+1 only; after every move every mask equals a fresh one
+    # a seeded walk of feasible toggles through _Lines.toggle, as the
+    # annealer takes them; after every move the kept bits and masks equal
+    # those built fresh from the toggled set
     geo = hv.GridGeometry(hv.Box(0, m, 0, n), m, n)
     rng = np.random.default_rng([151, m, n, full])
-    start = hv.sample_hv_convex(geo, rng, require_full_box=full)
-    cols, rows = _line_bits(start.cells), _line_bits(start.cells.T)
-    cmask = [_line_mask(cols, i, n, full) for i in range(m)]
-    rmask = [_line_mask(rows, j, m, full) for j in range(n)]
+    lines = _Lines(hv.sample_hv_convex(geo, rng, require_full_box=full).cells, full)
     moves = 0
     for _ in range(3000):
         i, j = divmod(int(rng.integers(m * n)), n)
-        if not (cmask[i] >> j & 1 and rmask[j] >> i & 1):
+        if not (lines.cmask[i] >> j & 1 and lines.rmask[j] >> i & 1):
             continue
-        cols[i] ^= 1 << j
-        rows[j] ^= 1 << i
-        for c in range(max(i - 1, 0), min(i + 2, m)):
-            cmask[c] = _line_mask(cols, c, n, full)
-        for r in range(max(j - 1, 0), min(j + 2, n)):
-            rmask[r] = _line_mask(rows, r, m, full)
+        lines.toggle(i, j)
         moves += 1
-        for lines, masks, size in ((cols, cmask, n), (rows, rmask, m)):
-            for k, mask in enumerate(masks):
-                assert mask == _line_mask(lines, k, size, full), (moves, k)
-        L = hv.GridSet(geo, np.array([[c >> j & 1 for j in range(n)] for c in cols], dtype=bool))
+        L = hv.GridSet.from_cells(geo, [(k, b) for k, c in enumerate(lines.cols)
+                                        for b in range(n) if c >> b & 1])
+        fresh = _Lines(L.cells, full)
+        assert (lines.rows, lines.cmask, lines.rmask) == (fresh.rows, fresh.cmask, fresh.rmask), moves
         assert hv.is_hv_convex(L) and hv.is_connected(L)
         assert not full or hv.in_level_set(L, geo.box)
     assert moves >= 300
