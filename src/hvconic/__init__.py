@@ -4,7 +4,8 @@ The package models finite unions of axis-aligned grid cells, the
 piecewise-quadratic taxicab distance fields they generate, certified
 set metrics (Hausdorff, tube areas), executable verifiers for the
 quantitative properties of those objects, and reconstruction of a set
-from its field by exhaustive search or simulated annealing.
+from its field by exhaustive search, from its X-ray class, or by
+simulated annealing.
 """
 
 from . import checks, conic, errors, grid, metrics, reconstruct

@@ -29,7 +29,7 @@ from .grid import (
     sample_hv_convex,
 )
 from .metrics import Polyline, hausdorff
-from .reconstruct import _read_text, exhaustive, load_problem, local_search, write_result
+from .reconstruct import _read_text, exhaustive, load_problem, solve, write_result
 from .reconstruct import _write_text as _write_file
 
 __all__ = ["run", "main"]
@@ -253,7 +253,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_reconstruct(args) -> int:
     problem, params, out_prefix = load_problem(args.problem)
-    result = exhaustive(problem) if args.oracle else local_search(problem, params)
+    result = exhaustive(problem) if args.oracle else solve(problem, params)
     write_result(result, out_prefix)
     # the .json file's exact text
     sys.stdout.write(result._summary())

@@ -463,6 +463,8 @@ class _SupScore:
     candidate.  Built by :meth:`_FieldDiff.sup_scorer`.
     """
 
+    # a square that overflows leaves the margin infinite, which is refused
+    @np.errstate(over="ignore", invalid="ignore")
     def __init__(self, axes, cell_hw):
         self._scalar, sides, ends, spans = [], [], [], []
         for (lines, rprof, pts, mids, (tA, tB, tC)), cell in zip(axes, cell_hw):
@@ -488,7 +490,12 @@ class _SupScore:
         self._memo: tuple[dict, dict] = ({}, {})
         (width, height), (cell_h, cell_w) = spans, cell_hw
         reach = max(map(abs, ends)) + (width + height)
-        margin = 1e-9 * (axes[0][1].total_mass + width * height) * reach**2
+        try:
+            margin = 1e-9 * (axes[0][1].total_mass + width * height) * reach**2
+        except OverflowError:
+            margin = math.inf
+        if not math.isfinite(margin):
+            raise InvalidParameter("the sup norm overflows on this box")
         self._corners = (cell_h * cell_w**2 / 2, cell_w * cell_h**2 / 2,
                          2 * len(self._scalar[0][0]), 2 * len(self._scalar[1][0]), *sides, margin)
 

@@ -17,6 +17,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -755,7 +756,8 @@ def sample_hv_convex(geometry: GridGeometry, seed, require_full_box: bool = Fals
 
 
 # ---------------------------------------------------------------------------
-# feasible families, built once per grid shape
+# the column-run search: feasible families, built once per grid shape, and
+# the sets with given column and row counts
 #
 # A connected hv-convex set is a contiguous range of columns holding one
 # run of rows each.  Runs of adjacent columns meet at least in a corner
@@ -764,35 +766,120 @@ def sample_hv_convex(geometry: GridGeometry, seed, require_full_box: bool = Fals
 # these two rules visits exactly the feasible sets, never a rejected mask.
 
 
+def _search(m: int, n: int, full_box: bool, cols=None, rows=None, first: bool = False,
+            cap: float = math.inf) -> tuple[np.ndarray, bool]:
+    """The feasible sets on an ``m x n`` grid whose column ``i`` holds
+    ``cols[i][0]`` to ``cols[i][1]`` cells and row ``j`` ``rows[j][0]`` to
+    ``rows[j][1]`` cells, as read-only ``(F, m, n)`` cell masks in ascending
+    order of the bit key ``i * n + j``; and whether the search stopped
+    because placing one more column run would exceed ``cap``.  With
+    ``first`` it stops at the first set it meets.
+
+    ``[0, n]`` for every column and ``[0, m]`` for every row is the whole
+    family; called with neither ``cols`` nor ``rows``, the search returns
+    it from the per-shape cache of :func:`_family`.  When every row allows any count
+    the rows are not counted.  Otherwise a column run is placed only if
+    every row can still end within its interval: a row never takes more
+    cells than its upper end, a row whose run ends holds at least its lower
+    end, and a row still short must fit in the columns left.  Equal ends
+    (``lo == hi``) ask for an X-ray class.
+    """
+    if cols is None and rows is None:
+        return _family(m, n, full_box), False
+    need = int(full_box)  # a full box takes every column and every row
+    clo, chi = [max(lo, need) for lo, _ in cols], [min(hi, n) for _, hi in cols]
+    rlo, rhi = [max(lo, need) for lo, _ in rows], [min(hi, m) for _, hi in rows]
+    found = []
+    if max(sum(clo), sum(rlo)) > min(sum(chi), sum(rhi)):
+        return _masks(m, n, found), False
+    counted = any(lo > 1 or hi < m for lo, hi in zip(rlo, rhi))
+    # short_of[t]: the rows that need more than t cells
+    short_of = [0] * (m + 2)
+    for j, lo in enumerate(rlo):
+        if lo:
+            short_of[min(lo, m + 1) - 1] |= 1 << j
+    for t in range(m, -1, -1):
+        short_of[t] |= short_of[t + 1]
+    count = [0] * n
+    path = []  # start and end (exclusive) of the row run of each column taken
+    taken = [i for i, lo in enumerate(clo) if lo]
+    last = taken[-1] if taken else 0
+    nodes = 0
+
+    def runs_of(i, s, e):
+        # column i's runs, as start, end and bits, that meet rows [s, e)
+        # at least in a corner: all of them for [0, n)
+        for size in range(max(clo[i], 1), chi[i] + 1):
+            for s2 in range(max(0, s - size), min(e, n - size) + 1):
+                yield s2, s2 + size, ((1 << size) - 1) << s2
+
+    no_cells = sum(1 << j for j, hi in enumerate(rhi) if hi <= 0)
+    for i0 in range(taken[0] + 1 if taken else m):
+        # a frame: column i's candidate runs and the state they extend:
+        # column i - 1's run as bits, the rows seen and the rows closed, the
+        # rows at their upper end and the rows short of their lower end
+        frames = [(i0, runs_of(i0, 0, n), 0, 0, 0, no_cells, short_of[0])]
+        while frames:
+            i, runs, bits, seen, closed, full, short = frames[-1]
+            left = m - 1 - i
+            # rows closed or at their upper end take no cell; a row that
+            # opens here, or has not opened, must fit in the columns left;
+            # continuing rows still fit, as they did one column earlier
+            blocked, opens, unseen = closed | full, short_of[left + 1], short_of[left] & ~seen
+            for s, e, new in runs:
+                if not (new & blocked or bits & short & ~new or new & opens & ~bits
+                        or unseen & ~new):
+                    break
+            else:
+                frames.pop()
+                if frames:
+                    e, s = path.pop(), path.pop()
+                    if counted:
+                        for j in range(s, e):
+                            count[j] -= 1
+                continue
+            nodes += 1
+            if nodes > cap:
+                return _masks(m, n, found), True
+            path += s, e
+            if counted:
+                for j in range(s, e):
+                    count[j] += 1
+                    if count[j] == rhi[j]:
+                        full |= 1 << j
+                    if count[j] == rlo[j]:
+                        short &= ~(1 << j)
+            else:
+                short &= ~new
+            if i >= last and not short:
+                found.append((0, 0) * i0 + tuple(path) + (0, 0) * left)
+                if first:
+                    return _masks(m, n, found), False
+            frames.append((i + 1, runs_of(i + 1, s, e) if left else iter(()), new, seen | new,
+                           closed | (bits & ~new), full, short))
+    return _masks(m, n, found), False
+
+
+def _masks(m: int, n: int, found: list) -> np.ndarray:
+    """Read-only ``(F, m, n)`` cell masks of the sets given as the start
+    and end of one row run per column (``0, 0`` for an empty column), in
+    ascending order of the bit key ``i * n + j``."""
+    runs = np.fromiter(itertools.chain.from_iterable(found), dtype=np.intp,
+                       count=2 * m * len(found)).reshape(-1, m, 2)
+    j = np.arange(n)
+    cells = (runs[..., :1] <= j) & (j < runs[..., 1:])
+    if len(cells) > 1:
+        # lexsort's last key, the highest bit, sorts first
+        cells = cells[np.lexsort(cells.reshape(len(cells), -1).T)]
+    cells.setflags(write=False)
+    return cells
+
+
 @functools.lru_cache(maxsize=8)
 def _family(m: int, n: int, require_full_box: bool) -> np.ndarray:
     """Read-only ``(F, m, n)`` cell masks of every feasible set on an
     ``m x n`` grid, in ascending order of the bit key ``i * n + j``."""
-    runs = [((1 << (hi - lo + 1)) - 1) << lo for lo in range(n) for hi in range(lo, n)]
-    touching = {a: [b for b in runs if _touch(a, b)] for a in runs}
-    all_rows = (1 << n) - 1
-    keys = []
-
-    def extend(i, key, bits, seen, closed):
-        # column i is the last one taken and holds the rows ``bits``
-        if not require_full_box or (i == m - 1 and seen == all_rows):
-            keys.append(key)
-        if i == m - 1:
-            return
-        for bits2 in touching[bits]:
-            if not bits2 & closed:
-                extend(i + 1, key | bits2 << ((i + 1) * n), bits2, seen | bits2,
-                       closed | (bits & ~bits2))
-
-    for i0 in range(1 if require_full_box else m):
-        for bits in runs:
-            extend(i0, bits << (i0 * n), bits, bits, 0)
-    keys.sort()
-    shifts = np.arange(m * n, dtype=np.uint64)
-    codes = np.array(keys, dtype=np.uint64)
-    cells = ((codes[:, None] >> shifts) & np.uint64(1)).astype(bool).reshape(-1, m, n)
-    cells.setflags(write=False)
-    return cells
+    return _search(m, n, require_full_box, [(0, n)] * m, [(0, m)] * n)[0]
 
 
 def _guarded_family(geometry: GridGeometry, require_full_box: bool) -> np.ndarray:

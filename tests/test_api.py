@@ -39,7 +39,7 @@ PUBLIC = {
     "check_polyline_bound",
     # reconstruct
     "ReconstructionProblem", "AnnealingParams", "ReconstructionResult", "objective",
-    "exhaustive", "local_search", "load_problem", "write_result",
+    "exhaustive", "local_search", "solve", "load_problem", "write_result",
     # errors
     "ConicError", "InvalidParameter", "GeometryMismatch", "EmptySet", "CoverageError",
     "TooLarge", "ZeroMass", "PreconditionViolated", "NonSimpleChain", "FormatError",
@@ -56,7 +56,7 @@ PRIVATE_IMPORTS = {
     ("metrics", "grid", "_min_dist_to_rects"),
     ("reconstruct", "conic", "_FieldDiff"),
     ("reconstruct", "grid", "_Lines"),
-    ("reconstruct", "grid", "_family"),
+    ("reconstruct", "grid", "_search"),
 }
 
 
@@ -156,7 +156,7 @@ def test_package_has_no_assert():
 
 
 def test_package_exports_the_frozen_names():
-    assert len(PUBLIC) == 68
+    assert len(PUBLIC) == 69
     assert len(hvconic.__all__) == len(set(hvconic.__all__))
     assert set(hvconic.__all__) == PUBLIC
 

@@ -13,7 +13,9 @@ import sys
 import pytest
 
 import hvconic as hv
+from hvconic import reconstruct
 from hvconic.cli import _build_parser, run
+from hvconic.grid import _search
 from hvconic.reconstruct import _write_text
 
 
@@ -388,6 +390,95 @@ def test_full_box_on_box_past_last_grid_line(tmp_path, capsys, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# default reconstruct: a target on the problem grid is answered from its
+# X-ray class, every other one is annealed
+
+
+@pytest.mark.parametrize("feasibility", ["hv_connected", "hv_connected_full_box"])
+@pytest.mark.parametrize("norm", ["sup", "l1"])
+@pytest.mark.parametrize("kind", ["hvset", "xray_csv"])
+def test_on_grid_target_answered_from_its_class(tmp_path, capsys, monkeypatch, kind, norm,
+                                                feasibility):
+    # a box off the origin whose last grid lines round short of its sides
+    monkeypatch.chdir(tmp_path)
+    box = [-1.5, 0.9, 0.0, 0.9]
+    geo = hv.GridGeometry(hv.Box(*box), 7, 9)
+    full = feasibility == "hv_connected_full_box"
+    T = hv.sample_hv_convex(geo, 37, require_full_box=full)
+    (tmp_path / "t.hvset").write_text(hv.format_hvset(T), encoding="utf-8")
+    assert invoke(capsys, "xray", "t.hvset", "--out-prefix", "t")[0] == 0
+    target = {"hvset": "t.hvset"} if kind == "hvset" else {
+        "xray_csv": {"vertical": "t_vertical.csv", "horizontal": "t_horizontal.csv"}}
+    (tmp_path / "p.json").write_text(json.dumps({
+        "target": target, "box": box, "dims": [7, 9], "norm": norm, "feasibility": feasibility,
+        "budget": {"steps": 50}, "seed": 38, "out_prefix": "rec"}), encoding="utf-8")
+    code, out, err = invoke(capsys, "reconstruct", "p.json")
+    assert (code, err) == (0, "")
+    summary = json.loads(out)
+    assert summary["objective"] == 0.0 and summary["steps"] == 0
+    best = hv.parse_hvset((tmp_path / "rec.hvset").read_text(encoding="utf-8"))
+    assert hv.xrays_equal_ae(best, T)
+    assert hv.in_level_set(best, geo.box) or not full
+
+
+def _fallback_problem(kind):
+    # p.json, in the working directory, for each way a default reconstruct
+    # still anneals: a target drawn on a finer grid, a target whose X-rays
+    # lie on the grid but fit no feasible set, and an on-grid target whose
+    # class search reaches its node cap
+    if kind == "off-grid":
+        fine = hv.GridGeometry(hv.Box(0, 4, 0, 4), 8, 8)
+        pathlib.Path("t.hvset").write_text(hv.format_hvset(hv.sample_hv_convex(fine, 21)),
+                                           encoding="utf-8")
+        target, dims = {"hvset": "t.hvset"}, [4, 4]
+    else:
+        geo = hv.GridGeometry(hv.Box(0, 5, 0, 5), 5, 5)
+        T = hv.sample_hv_convex(geo, 23)
+        rows = T.row_counts() * geo.cell_w
+        if kind == "empty-class":
+            # one unit moved from the fullest row to an empty one
+            rows[rows.argmax()] -= geo.cell_w
+            rows[rows.argmin()] += geo.cell_w
+            found, capped = _search(5, 5, False, [(c, c) for c in T.col_counts().tolist()],
+                                    [(int(r), int(r)) for r in rows])
+            assert found.shape == (0, 5, 5) and not capped
+        pathlib.Path("v.csv").write_text(hv.profile_to_csv(hv.xray_v(T)), encoding="utf-8")
+        pathlib.Path("h.csv").write_text(
+            hv.profile_to_csv(hv.XRayProfile("horizontal", geo.ylines(), rows)), encoding="utf-8")
+        target, dims = {"xray_csv": {"vertical": "v.csv", "horizontal": "h.csv"}}, [5, 5]
+    pathlib.Path("p.json").write_text(json.dumps({
+        "target": target, "box": [0, dims[0], 0, dims[1]], "dims": dims,
+        "budget": {"steps": 300, "restarts": 1}, "seed": 3, "out_prefix": "rec"}),
+        encoding="utf-8")
+
+
+# stdout (also the .json file) and the .hvset file, frozen from the
+# annealer before default reconstruct answered on-grid targets
+ANNEALED = {
+    "off-grid": ('{"objective": 2.375, "steps": 600, "thin_contact": false}\n',
+                 "HVSET v1\nbox 0.0 4.0 0.0 4.0\ndims 4 4\n0000\n0000\n0010\n0110\n"),
+    "empty-class": ('{"objective": 4.0, "steps": 600, "thin_contact": false}\n',
+                    "HVSET v1\nbox 0.0 5.0 0.0 5.0\ndims 5 5\n"
+                    "00000\n01100\n01100\n11000\n11000\n"),
+    "node-cap": ('{"objective": 8.0, "steps": 600, "thin_contact": false}\n',
+                 "HVSET v1\nbox 0.0 5.0 0.0 5.0\ndims 5 5\n00100\n01100\n01000\n11000\n11000\n"),
+}
+
+
+@pytest.mark.parametrize("kind", list(ANNEALED))
+def test_other_targets_are_annealed_as_before(tmp_path, capsys, monkeypatch, kind):
+    monkeypatch.chdir(tmp_path)
+    # the node-cap target occupies 4 columns, so its class search needs 4
+    # column runs and stops at 3
+    monkeypatch.setattr(reconstruct, "_CLASS_NODE_CAP", 3 if kind == "node-cap" else 200_000)
+    _fallback_problem(kind)
+    code, out, err = invoke(capsys, "reconstruct", "p.json")
+    assert (code, err) == (0, "")
+    assert (out, (tmp_path / "rec.hvset").read_text(encoding="utf-8")) == ANNEALED[kind]
+    assert (tmp_path / "rec.json").read_text(encoding="utf-8") == out
+
+
+# ---------------------------------------------------------------------------
 # failure modes
 
 
@@ -540,9 +631,13 @@ ERROR_ROWS = {
     "utf16-problem": (["reconstruct", "utf16.json"], "FormatError"),
     "utf16-target": (["reconstruct", "utf16-target.json"], "FormatError"),
     "utf16-target-csv": (["reconstruct", "utf16-csv.json"], "FormatError"),
-    # the l1 integral over a box of side 1e70 overflows, for both engines
+    # the l1 integral over a box of side 1e70 overflows, for both engines;
+    # the target is drawn on 6x6, so it is off the 3x3 grid and no X-ray
+    # class answers it
     "overflow-l1": (["reconstruct", "far-l1.json"], "InvalidParameter"),
     "overflow-l1-oracle": (["reconstruct", "far-l1.json", "--oracle"], "InvalidParameter"),
+    # a coordinate of 1e160 squares past float range in the sup annealer
+    "overflow-sup": (["reconstruct", "far-sup.json"], "InvalidParameter"),
 }
 
 
@@ -580,12 +675,14 @@ def test_domain_error_reports_class(tmp_path, capsys, monkeypatch, argv, cls):
                         "budget": budget, "out_prefix": name}),
             encoding="utf-8",
         )
-    far = hv.GridGeometry(hv.Box(0, 1e70, 0, 1e70), 3, 3)
-    (tmp_path / "far.hvset").write_text(hv.format_hvset(hv.sample_hv_convex(far, 5)),
-                                        encoding="utf-8")
-    (tmp_path / "far-l1.json").write_text(
-        json.dumps({"target": {"hvset": "far.hvset"}, "box": [0, 1e70, 0, 1e70], "dims": [3, 3],
-                    "norm": "l1", "out_prefix": "far"}), encoding="utf-8")
+    for name, box, norm in (("far-l1", [0, 1e70, 0, 1e70], "l1"),
+                            ("far-sup", [0, 1e160, 0, 1e-150], "sup")):
+        far = hv.GridGeometry(hv.Box(*box), 6, 6)
+        (tmp_path / f"{name}.hvset").write_text(hv.format_hvset(hv.sample_hv_convex(far, 5)),
+                                                encoding="utf-8")
+        (tmp_path / f"{name}.json").write_text(
+            json.dumps({"target": {"hvset": f"{name}.hvset"}, "box": box, "dims": [3, 3],
+                        "norm": norm, "out_prefix": name}), encoding="utf-8")
     for name, fields in NOT_A_NUMBER.items():
         spec = {"target": {"hvset": "good.hvset"}, "box": [0, 2, 0, 2], "dims": [2, 2],
                 "out_prefix": name}

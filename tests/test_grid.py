@@ -8,6 +8,7 @@ vectorized code under test.
 import hashlib
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -23,7 +24,7 @@ from hvconic.errors import (
     InvalidParameter,
     TooLarge,
 )
-from hvconic.grid import _family
+from hvconic.grid import _family, _search
 
 
 # ---------------------------------------------------------------------------
@@ -610,6 +611,115 @@ def test_family_cache_is_read_only():
         fam[0, 0, 0] = not fam[0, 0, 0]
     # sets handed out own their cells, so the cache cannot leak through them
     assert not np.shares_memory(sets[0].cells, fam)
+
+
+SHAPES_UP_TO_20 = [(m, n) for m in range(1, 21) for n in range(1, 21) if m * n <= 20]
+
+# sha256 over every shape within the enumeration guard of "<m>x<n>:" and the
+# family's bytes, frozen from the recursive search the column-run search
+# replaced
+FAMILY_DIGESTS = {
+    False: "2bc8243ab5f11daf69a86b5f678e4ba979877d91a57331754393428817493c90",
+    True: "2e9d60059e5c766a1e07820a0be447590f79080f53ba9e0146a9abec80edf0cf",
+}
+
+
+@pytest.mark.parametrize("full", [False, True])
+def test_family_bytes_frozen(full):
+    digest = hashlib.sha256()
+    for m, n in SHAPES_UP_TO_20:
+        digest.update(f"{m}x{n}:".encode())
+        digest.update(_family(m, n, full).tobytes())
+    assert digest.hexdigest() == FAMILY_DIGESTS[full]
+
+
+def test_search_without_intervals_is_the_cached_family():
+    found, capped = _search(3, 4, False)
+    assert found is _family(3, 4, False) and not capped
+    found, capped = _search(3, 4, True, [(0, 4)] * 3, [(0, 3)] * 4)
+    assert found.tobytes() == _family(3, 4, True).tobytes() and not capped
+    assert not found.flags.writeable
+
+
+def _classes(family):
+    # member indices by (column counts, row counts)
+    classes = {}
+    for k, cells in enumerate(family):
+        key = (tuple(cells.sum(axis=1).tolist()), tuple(cells.sum(axis=0).tolist()))
+        classes.setdefault(key, []).append(k)
+    return classes
+
+
+@pytest.mark.parametrize("full", [False, True])
+def test_class_search_returns_the_family_grouped_by_counts(full):
+    # every X-ray class of every shape up to 4x4, whole and first member;
+    # up to 9 cells, every other pair of count vectors with equal totals
+    # has an empty class
+    seen = 0
+    for m, n in itertools.product(range(1, 5), repeat=2):
+        family = _family(m, n, full)
+        classes = _classes(family)
+        for (cols, rows), members in classes.items():
+            cols, rows = [(c, c) for c in cols], [(r, r) for r in rows]
+            found, capped = _search(m, n, full, cols, rows)
+            assert found.tobytes() == family[members].tobytes() and not capped
+            first, capped = _search(m, n, full, cols, rows, first=True)
+            assert len(first) == 1 and not capped
+            assert first[0].tobytes() in {family[k].tobytes() for k in members}
+        seen += len(classes)
+        if m * n > 9:
+            continue
+        for cols in itertools.product(range(n + 1), repeat=m):
+            for rows in itertools.product(range(m + 1), repeat=n):
+                if sum(cols) == sum(rows) and (cols, rows) not in classes:
+                    found, capped = _search(m, n, full, [(c, c) for c in cols],
+                                            [(r, r) for r in rows])
+                    assert found.shape == (0, m, n) and not capped
+    assert seen == (4399 if not full else 1722)
+
+
+def test_interval_search_filters_the_family():
+    # random count intervals, some rows left free, against the family
+    # filtered by its counts
+    rnd = random.Random(29)
+    for _ in range(400):
+        m, n, full = rnd.randint(1, 4), rnd.randint(1, 4), rnd.random() < 0.5
+        cols = [tuple(sorted((rnd.randint(0, n), rnd.randint(0, n)))) for _ in range(m)]
+        rows = [tuple(sorted((rnd.randint(0, m), rnd.randint(0, m)))) for _ in range(n)]
+        if rnd.random() < 0.3:
+            rows = [(0, m)] * n
+        family = _family(m, n, full)
+        ok = np.ones(len(family), dtype=bool)
+        for counts, bounds in ((family.sum(axis=2), cols), (family.sum(axis=1), rows)):
+            for k, (lo, hi) in enumerate(bounds):
+                ok &= (counts[:, k] >= lo) & (counts[:, k] <= hi)
+        found, capped = _search(m, n, full, cols, rows)
+        assert found.tobytes() == family[ok].tobytes() and not capped
+        assert len(_search(m, n, full, cols, rows, first=True)[0]) == min(1, ok.sum())
+
+
+def test_class_search_stops_at_its_node_cap():
+    # the all-ones class on 4x4 is the two diagonals, one run per column
+    ones = [(1, 1)] * 4
+    found, capped = _search(4, 4, False, ones, ones)
+    assert len(found) == 2 and not capped
+    assert _search(4, 4, False, ones, ones, cap=3)[0].shape == (0, 4, 4)
+    assert _search(4, 4, False, ones, ones, cap=3)[1]
+    first, capped = _search(4, 4, False, ones, ones, first=True, cap=4)
+    assert len(first) == 1 and not capped
+
+
+def test_class_search_on_a_large_grid():
+    # a first member far past the recursion limit's depth, certified by
+    # its X-rays
+    geo = hv.GridGeometry(hv.Box(0, 1, 0, 1), 1500, 40)
+    for full in (False, True):
+        T = hv.sample_hv_convex(geo, 31, require_full_box=full)
+        cols = [(c, c) for c in T.col_counts().tolist()]
+        rows = [(r, r) for r in T.row_counts().tolist()]
+        found, capped = _search(geo.m, geo.n, full, cols, rows, first=True, cap=200_000)
+        assert len(found) == 1 and not capped
+        assert hv.xrays_equal_ae(hv.GridSet(geo, found[0]), T)
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 import hvconic as hv
-from hvconic import conic
+from hvconic import conic, reconstruct
 from hvconic.conic import _FieldDiff
 from hvconic.errors import FormatError, GeometryMismatch, InvalidParameter, TooLarge, ZeroMass
 from hvconic.grid import _family, _Lines
-from hvconic.reconstruct import _check_feasible, _family_counts, _search_score
+from hvconic.reconstruct import _check_feasible, _class_counts, _family_counts, _search_score
 
 GEO22 = hv.GridGeometry(hv.Box(0.0, 2.0, 0.0, 2.0), 2, 2)
 GEO33 = hv.GridGeometry(hv.Box(0.0, 3.0, 0.0, 3.0), 3, 3)
@@ -805,6 +805,46 @@ def test_objective_zero_means_equal_xrays():
     res = hv.local_search(prob, hv.AnnealingParams(steps=20_000, restarts=2, seed=7))
     if res.objective == 0.0:
         assert hv.xrays_equal_ae(res.best, L)
+
+
+# ---------------------------------------------------------------------------
+# the default route: a target on the grid is answered from its X-ray class
+
+
+def _target(geo, cols, rows):
+    return hv.ConicEvaluator(hv.XRayProfile("vertical", geo.xlines(), cols),
+                             hv.XRayProfile("horizontal", geo.ylines(), rows))
+
+
+def test_class_counts_need_grid_lines_and_whole_cells():
+    T = hv.sample_hv_convex(GEO44, 41)
+    cols, rows = T.col_counts(), T.row_counts()
+    assert _class_counts(problem_for(T)) == [[(c, c) for c in cols.tolist()],
+                                             [(r, r) for r in rows.tolist()]]
+    # half a cell more in one column and one row; a column of 5 cells out
+    # of 4; a target drawn on a finer grid
+    half, five = np.array([0.5, 0, 0, 0]), np.array([5.0, 0, 0, 0])
+    for target in (_target(GEO44, cols + half, rows + half), _target(GEO44, five, five),
+                   hv.conic_of(hv.sample_hv_convex(hv.GridGeometry(GEO44.box, 8, 8), 41))):
+        assert _class_counts(hv.ReconstructionProblem(target, GEO44)) is None
+    # a plateau whose count overflows a float, refused without a warning
+    tiny = hv.GridGeometry(hv.Box(0, 4e-140, 0, 4e-160), 4, 4)
+    huge = _target(tiny, [1e150, 0, 0, 0], [1e170, 0, 0, 0])
+    assert _class_counts(hv.ReconstructionProblem(huge, tiny)) is None
+
+
+def test_solve_answers_from_the_class_with_no_steps():
+    T = hv.sample_hv_convex(GEO44, 43)
+    res = hv.solve(problem_for(T), hv.AnnealingParams(seed=44))
+    assert (res.objective, res.steps, res.trace, res.optima) == (0.0, 0, [(0, 0.0)], None)
+    assert hv.xrays_equal_ae(res.best, T)
+
+
+def test_class_answer_must_rescore_to_zero(monkeypatch):
+    # a class member whose rescored objective is not exactly 0.0 is a bug
+    monkeypatch.setattr(reconstruct, "objective", lambda L, problem: 5e-324)
+    with pytest.raises(RuntimeError):
+        hv.solve(problem_for(hv.sample_hv_convex(GEO44, 43)), hv.AnnealingParams())
 
 
 # ---------------------------------------------------------------------------
