@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .conic import conic_of, sup_norm_diff
-from .errors import GeometryMismatch, InvalidParameter, PreconditionViolated
+from .errors import GeometryMismatch, InvalidParameter, PreconditionViolated, TooLarge
 from .grid import (
     Box,
     GridGeometry,
@@ -177,8 +177,11 @@ def check_concavity(L1: GridSet, L2: GridSet, t, samples=(33, 33)) -> CheckRepor
     px, py = (InvalidParameter.whole(v, 2, "need at least a 2x2 sample lattice") for v in samples)
     frac = InvalidParameter.weight(t)
     p, q = frac.numerator, frac.denominator
-    comb = combine(L1, L2, frac)
     g = L1.geometry
+    # the exact lattices below: every sample point against every refined line
+    TooLarge.raster(px, g.m * q)
+    TooLarge.raster(py, g.n * q)
+    comb = combine(L1, L2, frac)
     col_def, row_def = (
         counts(comb) - p * np.repeat(counts(L1), q) - (q - p) * np.repeat(counts(L2), q)
         for counts in (GridSet.col_counts, GridSet.row_counts)

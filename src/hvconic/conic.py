@@ -398,6 +398,7 @@ class _FieldDiff:
         times; each field's axis-term difference at the quadrature points;
         and its bound on the slope difference, which is piecewise linear
         and so extremal one-sided at the partition points."""
+        TooLarge.raster(math.prod(np.shape(p.values)[:-1]), (len(self.axes[axk][2]) - 1) * refine)
         w, ts, ref_qs, ref_pts, ref_mids = self._l1_reference(axk, refine)
         # one _coeffs call over the quadrature points, partition points and
         # midpoints; it works elementwise, so each share is what a call on
@@ -416,7 +417,9 @@ class _FieldDiff:
         (a single profile is one row): composite midpoint quadrature plus
         a Lipschitz error bound from the exact slope ranges of the two
         separated terms.  A norm that overflows raises
-        :class:`InvalidParameter`."""
+        :class:`InvalidParameter`, a quadrature past the raster bound
+        :class:`TooLarge`."""
+        TooLarge.raster(*((len(ax[2]) - 1) * refine for ax in self.axes))
         wx, du, lip_x = self.l1_terms(0, xp, refine)
         wy, dv, lip_y = self.l1_terms(1, yp, refine)
         du, lip_x = du.reshape(-1, len(wx)), np.reshape(lip_x, -1)
@@ -595,7 +598,8 @@ def l1_norm_diff(E1: ConicEvaluator, E2: ConicEvaluator, box: Box, refine: int =
 
     Composite midpoint quadrature on the merged breakpoint partition with
     each piece split ``refine`` times, plus a Lipschitz error bound from
-    the exact slope ranges of the two separated terms.
+    the exact slope ranges of the two separated terms.  A quadrature of
+    more than 2**24 points raises :class:`TooLarge`.
     """
     refine = InvalidParameter.whole(refine, 1, f"refine must be a positive integer, got {refine}")
     diff = _FieldDiff(E1.yprofile.breakpoints, E1.xprofile.breakpoints, E2, box)

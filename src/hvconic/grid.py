@@ -777,12 +777,11 @@ def _search(m: int, n: int, full_box: bool, cols=None, rows=None, first: bool = 
 
     ``[0, n]`` for every column and ``[0, m]`` for every row is the whole
     family; called with neither ``cols`` nor ``rows``, the search returns
-    it from the per-shape cache of :func:`_family`.  When every row allows any count
-    the rows are not counted.  Otherwise a column run is placed only if
-    every row can still end within its interval: a row never takes more
-    cells than its upper end, a row whose run ends holds at least its lower
-    end, and a row still short must fit in the columns left.  Equal ends
-    (``lo == hi``) ask for an X-ray class.
+    it from the per-shape cache of :func:`_family`.  A column run is placed
+    only if every row can still end within its interval: a row never takes
+    more cells than its upper end, a row whose run ends holds at least its
+    lower end, and a row still short must fit in the columns left.  Equal
+    ends (``lo == hi``) ask for an X-ray class.
     """
     if cols is None and rows is None:
         return _family(m, n, full_box), False
@@ -792,7 +791,6 @@ def _search(m: int, n: int, full_box: bool, cols=None, rows=None, first: bool = 
     found = []
     if max(sum(clo), sum(rlo)) > min(sum(chi), sum(rhi)):
         return _masks(m, n, found), False
-    counted = any(lo > 1 or hi < m for lo, hi in zip(rlo, rhi))
     # short_of[t]: the rows that need more than t cells
     short_of = [0] * (m + 2)
     for j, lo in enumerate(rlo):
@@ -834,23 +832,19 @@ def _search(m: int, n: int, full_box: bool, cols=None, rows=None, first: bool = 
                 frames.pop()
                 if frames:
                     e, s = path.pop(), path.pop()
-                    if counted:
-                        for j in range(s, e):
-                            count[j] -= 1
+                    for j in range(s, e):
+                        count[j] -= 1
                 continue
             nodes += 1
             if nodes > cap:
                 return _masks(m, n, found), True
             path += s, e
-            if counted:
-                for j in range(s, e):
-                    count[j] += 1
-                    if count[j] == rhi[j]:
-                        full |= 1 << j
-                    if count[j] == rlo[j]:
-                        short &= ~(1 << j)
-            else:
-                short &= ~new
+            for j in range(s, e):
+                count[j] += 1
+                if count[j] == rhi[j]:
+                    full |= 1 << j
+                if count[j] == rlo[j]:
+                    short &= ~(1 << j)
             if i >= last and not short:
                 found.append((0, 0) * i0 + tuple(path) + (0, 0) * left)
                 if first:

@@ -127,8 +127,6 @@ def _segments_intersect(p1, p2, p3, p4) -> bool:
         return True
     if d2 == 0 and _on_segment(*p3, *p4, *p2):
         return True
-    if d3 == 0 and _on_segment(*p1, *p2, *p3):
-        return True
     if d4 == 0 and _on_segment(*p1, *p2, *p4):
         return True
     return False

@@ -11,6 +11,7 @@ from hvconic.errors import (
     GeometryMismatch,
     InvalidParameter,
     PreconditionViolated,
+    TooLarge,
 )
 
 GEO44 = hv.GridGeometry(hv.Box(0.0, 4.0, 0.0, 4.0), 4, 4)
@@ -81,6 +82,15 @@ def test_concavity_random_batch():
             assert rep.witness["xray_margin"] >= 0.0
             assert rep.witness["f_margin"] >= 0.0
             assert len(rep.witness["worst_sample"]) == 2
+
+
+def test_concavity_lattice_is_bounded():
+    # at t = 1/2 an 8x8 pair has 16 refined lines a side: 2**20 + 1 samples
+    # against them exceed 2**24 lattice points, refused before allocation
+    L1, L2 = (hv.sample_hv_convex(GEO88, s, require_full_box=True) for s in (1, 2))
+    for samples in ((2**20 + 1, 3), (3, 2**20 + 1), (2**60, 3)):
+        with pytest.raises(TooLarge):
+            hv.check_concavity(L1, L2, "1/2", samples=samples)
 
 
 def test_concavity_preconditions():

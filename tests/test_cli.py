@@ -767,6 +767,45 @@ def test_huge_dims_hvset_is_format_error(tmp_path, capsys):
     assert err.startswith("ERROR FormatError:") and err.count("\n") == 1
 
 
+# a child process whose address space is capped at 2 GiB: a missing size
+# guard fails there at once as a MemoryError instead of exhausting the machine
+LIMITED_RUN = ("import resource, sys\n"
+               "resource.setrlimit(resource.RLIMIT_AS,"
+               " (2 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]))\n"
+               "from hvconic.cli import run\nsys.exit(run(sys.argv[1:]))\n")
+# argv -> exit code; each oversized lattice is refused before it is built
+LIMITED = {
+    "concavity": (["verify", "concavity", "--seeds", "1"], 0),
+    "concavity-lattice": (["verify", "concavity", "--seeds", "1", "--dims", "16x16",
+                           "--box", "0,16,0,16", "--samples", "16777217x2"], 1),
+    # an on-grid target: the class route's rescore builds the quadrature
+    "l1-quadrature": (["reconstruct", "p.json"], 1),
+    "l1-quadrature-oracle": (["reconstruct", "p.json", "--oracle"], 1),
+}
+
+
+@pytest.mark.parametrize("argv,code", list(LIMITED.values()), ids=list(LIMITED))
+def test_size_guards_under_a_memory_limit(tmp_path, argv, code):
+    pytest.importorskip("resource")
+    geo = hv.GridGeometry(hv.Box(0, 3, 0, 3), 3, 3)
+    (tmp_path / "t.hvset").write_text(hv.format_hvset(hv.sample_hv_convex(geo, 5)),
+                                      encoding="utf-8")
+    (tmp_path / "p.json").write_text(json.dumps({
+        "target": {"hvset": str(tmp_path / "t.hvset")}, "box": [0, 3, 0, 3], "dims": [3, 3],
+        "norm": "l1", "l1_refine": 200_000, "out_prefix": str(tmp_path / "rec")}),
+        encoding="utf-8")
+    argv = [str(tmp_path / a) if a == "p.json" else a for a in argv]
+    proc = subprocess.run([sys.executable, "-c", LIMITED_RUN, *argv], capture_output=True,
+                          text=True, encoding="utf-8", timeout=120,
+                          env=os.environ | {"OPENBLAS_NUM_THREADS": "1"})
+    assert proc.returncode == code, proc.stderr
+    if code:
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("ERROR TooLarge: ") and proc.stderr.count("\n") == 1
+    else:
+        assert proc.stderr == ""
+
+
 def _problem(tmp_path, **fields):
     geo = hv.GridGeometry(hv.Box(0, 2, 0, 2), 2, 2)
     gen = tmp_path / "gen.hvset"

@@ -14,11 +14,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hvconic as hv
-from hvconic.conic import HORIZONTAL, VERTICAL, conic_value_exact
+from hvconic.conic import HORIZONTAL, VERTICAL, _FieldDiff, conic_value_exact
 from hvconic.errors import (
     FormatError,
     GeometryMismatch,
     InvalidParameter,
+    TooLarge,
     ZeroMass,
 )
 
@@ -259,6 +260,21 @@ def test_norms_refuse_overflow():
     assert hv.sup_norm_diff(A, B, geo.box) == 1.52e308
     with pytest.raises(InvalidParameter, match="overflows"):
         hv.sup_norm_diff(A, C, geo.box)
+
+
+def test_l1_quadrature_is_bounded():
+    # on the unit box each axis has refine quadrature points: 4097**2 and
+    # 600000**2 weights exceed 2**24, and so do 2**16 fields by 257 points
+    E = unit_field()
+    D = hv.ConicEvaluator(E.yprofile.scaled(2.0), E.xprofile.scaled(2.0))
+    for refine in (4097, 200_000):
+        with pytest.raises(TooLarge):
+            hv.l1_norm_diff(D, E, UNIT.box, refine=refine)
+    diff = _FieldDiff(UNIT.xlines(), UNIT.ylines(), E, UNIT.box)
+    with pytest.raises(TooLarge):
+        diff.l1_terms(0, diff.stack(0, np.ones((1 << 16, 1))), 257)
+    w, terms, _ = diff.l1_terms(0, diff.stack(0, np.ones((4, 1))), 8)
+    assert terms.shape == (4, 8) and w.sum() == 1.0
 
 
 @settings(max_examples=25, deadline=None)

@@ -198,6 +198,36 @@ def test_empty_set_guards():
         L.bounding_box()
 
 
+# name -> a call on the empty 4x4 set, the error it raises and its message
+EMPTY_REFUSALS = {
+    "run_rects": (lambda E: E.run_rects(), EmptySet, "no occupied cells"),
+    "projections": (hv.projections, EmptySet, "no projections"),
+    "in_level_set": (lambda E: hv.in_level_set(E, GEO44.box), EmptySet, "no projections"),
+    "in_sublevel_set": (lambda E: hv.in_sublevel_set(E, GEO44.box), EmptySet,
+                        "no projections"),
+    "is_connected": (hv.is_connected, EmptySet, "non-empty"),
+    "is_hv_convex": (hv.is_hv_convex, EmptySet, "non-empty"),
+    "has_contiguous_runs": (hv.has_contiguous_runs, EmptySet, "empty set"),
+    "combine-first": (lambda E: hv.combine(E, hv.GridSet.full(GEO44), Fraction(1, 2)),
+                      EmptySet, "two non-empty sets"),
+    "combine-second": (lambda E: hv.combine(hv.GridSet.full(GEO44), E, Fraction(1, 2)),
+                       EmptySet, "two non-empty sets"),
+    "dilate": (lambda E: hv.dilate(E, 0.5), EmptySet, "empty set"),
+    "min_cover": (lambda E: hv.min_cover(E, GEO44), EmptySet, "empty set"),
+    "boundary_chains": (hv.boundary_chains, EmptySet, "no boundary"),
+    # not an empty set: a dims line whose second value is no integer
+    "dims-value": (lambda E: hv.parse_hvset("HVSET v1\nbox 0 4 0 4\ndims 4 x\n"),
+                   FormatError, "line 3: bad dims value"),
+}
+
+
+@pytest.mark.parametrize("call,cls,message", list(EMPTY_REFUSALS.values()),
+                         ids=list(EMPTY_REFUSALS))
+def test_refusals_of_empty_sets(call, cls, message):
+    with pytest.raises(cls, match=message):
+        call(hv.GridSet(GEO44, np.zeros((4, 4), dtype=bool)))
+
+
 # ---------------------------------------------------------------------------
 # predicates against the oracles
 

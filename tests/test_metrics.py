@@ -140,6 +140,11 @@ def test_polyline_rejects_non_simple():
                   [(2, 3), (2, 1), (0, 1), (2, 2)]):
         with pytest.raises(NonSimpleChain, match="intersect"):
             hv.Polyline(chain)
+    # segment 3 starts on segment 0; segment 2 ends there, so the pair (0, 2)
+    # already refuses the chain, open or closed
+    for closed in (False, True):
+        with pytest.raises(NonSimpleChain, match="segments 0 and 2 intersect"):
+            hv.Polyline([(0, 0), (6, 0), (6, 4), (3, 0), (0, 4)], closed=closed)
 
 
 def test_polyline_immutable_hashable():

@@ -840,6 +840,32 @@ def test_solve_answers_from_the_class_with_no_steps():
     assert hv.xrays_equal_ae(res.best, T)
 
 
+# sha256 over the .hvset text of every answer in the test below, recorded
+# from the column-run search that first answered on-grid targets
+ON_GRID_ANSWERS = "567ad911b8227054acdf73cf4bbb257bb2d0af7ff006d7346dbd5e0c577b4922"
+
+
+def test_on_grid_answers_frozen():
+    # another member of the same class scores 0.0 too, so only the bytes
+    # tell which member the search meets first
+    digest, multi = hashlib.sha256(), 0
+    for geo in (hv.GridGeometry(hv.Box(0.0, 7.0, 0.0, 7.0), 7, 7),
+                hv.GridGeometry(hv.Box(-1.5, 0.9, 0.0, 0.9), 6, 9)):
+        for feasibility in (reconstruct.FEAS_HV, reconstruct.FEAS_FULL):
+            full = feasibility == reconstruct.FEAS_FULL
+            for seed in range(100):
+                T = hv.sample_hv_convex(geo, seed, require_full_box=full)
+                for target in (hv.conic_of(T), _csv_round_trip(T)):
+                    res = hv.solve(hv.ReconstructionProblem(target, geo, feasibility=feasibility),
+                                   hv.AnnealingParams(steps=1))
+                    assert (res.objective, res.steps) == (0.0, 0)
+                    digest.update(hv.format_hvset(res.best).encode())
+                multi += res.best != T
+    # some answers are another member of the target's class
+    assert multi == 8
+    assert digest.hexdigest() == ON_GRID_ANSWERS
+
+
 def test_class_answer_must_rescore_to_zero(monkeypatch):
     # a class member whose rescored objective is not exactly 0.0 is a bug
     monkeypatch.setattr(reconstruct, "objective", lambda L, problem: 5e-324)
